@@ -2,13 +2,12 @@
 // paper reports a max-min gap of <= 14.4% (Pokec) / 8.8% (Google+) across
 // fragments for DMine, and <= 6.0% / 5.2% for Match, showing partitioning
 // skew is small. We report fragment-size skew and per-worker busy-time
-// spread for the EIP workload, plus the zero-copy fragment A/B: partition
-// build time and fragment memory for GraphView-backed fragments vs the
-// use_fragment_copies baseline (copied induced CSRs).
+// spread for the EIP workload, plus the partition build time and the memory
+// of the zero-copy GraphView fragments.
 //
 // With GPAR_BENCH_JSON=<path> the rows are also written as JSON (the
-// BENCH_partition.json CI artifact tracking the view/copy build-time and
-// memory ratios PR-over-PR); GPAR_BENCH_SMALL=1 keeps the CI-sized config.
+// BENCH_partition.json CI artifact tracking build time and fragment memory
+// PR-over-PR); GPAR_BENCH_SMALL=1 keeps the CI-sized config.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,14 +28,14 @@ int main() {
     std::string dataset;
     uint32_t n;
     double size_skew, time_gap;
-    double build_view_s, build_copy_s;
-    uint64_t bytes_view, bytes_copy;
+    double build_view_s;
+    uint64_t bytes_view;
   };
   std::vector<Row> rows;
 
-  PrintHeader("Exp-4 partition skew + fragment representation",
+  PrintHeader("Exp-4 partition skew + fragment build",
               {"dataset", "n", "size_skew", "time_gap", "build_v(s)",
-               "build_c(s)", "MB_view", "MB_copy", "mem_ratio"});
+               "MB_view"});
   struct Dataset {
     std::string name;
     Graph graph;
@@ -65,26 +64,18 @@ int main() {
       popt.num_fragments = n;
       popt.d = 2;
 
-      // The view/copy A/B: same assignment, different representation. CI
-      // sizes finish in ms, so report the min over a few repetitions.
+      // CI sizes finish in ms, so report the min over a few repetitions.
       const int reps = small ? 3 : 2;
-      double build_view = 0, build_copy = 0;
-      uint64_t bytes_view = 0, bytes_copy = 0;
-      Partitioning parts;  // last view-backed build, reused for the skew
+      double build_view = 0;
+      uint64_t bytes_view = 0;
+      Partitioning parts;  // last build, reused for the skew
       for (int rep = 0; rep < reps; ++rep) {
-        popt.use_fragment_copies = false;
         Timer tv;
         auto views = PartitionGraph(ds.graph, centers, popt);
         double sv = tv.Seconds();
-        popt.use_fragment_copies = true;
-        Timer tc;
-        auto copies = PartitionGraph(ds.graph, centers, popt);
-        double sc = tc.Seconds();
-        if (!views.ok() || !copies.ok()) return 1;
+        if (!views.ok()) return 1;
         if (rep == 0 || sv < build_view) build_view = sv;
-        if (rep == 0 || sc < build_copy) build_copy = sc;
         bytes_view = PartitionMemoryBytes(*views);
-        bytes_copy = PartitionMemoryBytes(*copies);
         parts = std::move(*views);
       }
 
@@ -101,29 +92,22 @@ int main() {
                                       r->times.worker_total_seconds.end());
         gap = mx > 0 ? (mx - mn) / mx : 0;
       }
-      rows.push_back({ds.name, n, FragmentSkew(parts), gap, build_view,
-                      build_copy, bytes_view, bytes_copy});
+      rows.push_back(
+          {ds.name, n, FragmentSkew(parts), gap, build_view, bytes_view});
       PrintCell(ds.name);
       PrintCell(static_cast<uint64_t>(n));
       PrintCell(FragmentSkew(parts));
       PrintCell(gap);
       PrintCell(build_view);
-      PrintCell(build_copy);
       PrintCell(static_cast<double>(bytes_view) / (1024.0 * 1024.0));
-      PrintCell(static_cast<double>(bytes_copy) / (1024.0 * 1024.0));
-      PrintCell(bytes_view > 0
-                    ? static_cast<double>(bytes_copy) /
-                          static_cast<double>(bytes_view)
-                    : 0.0);
       EndRow();
     }
   }
   std::printf(
       "size_skew = (max-min)/max fragment |G|; time_gap = (max-min)/max\n"
       "per-worker busy seconds during Match. The paper's gaps: <= 14.4%%.\n"
-      "build_v/build_c = PartitionGraph seconds with view-backed vs copied\n"
-      "fragments (same assignment); MB_* = total fragment representation\n"
-      "bytes. mem_ratio = copy/view.\n");
+      "build_v = PartitionGraph seconds; MB_view = total fragment\n"
+      "representation bytes.\n");
 
   if (const char* json = JsonPath()) {
     std::FILE* f = std::fopen(json, "w");
@@ -140,30 +124,23 @@ int main() {
           f,
           "    {\"dataset\": \"%s\", \"n\": %u, \"size_skew\": %.6f, "
           "\"time_gap\": %.6f, \"build_view_s\": %.6f, "
-          "\"build_copy_s\": %.6f, \"fragment_bytes_view\": %llu, "
-          "\"fragment_bytes_copy\": %llu}%s\n",
+          "\"fragment_bytes_view\": %llu}%s\n",
           r.dataset.c_str(), r.n, r.size_skew, r.time_gap, r.build_view_s,
-          r.build_copy_s, static_cast<unsigned long long>(r.bytes_view),
-          static_cast<unsigned long long>(r.bytes_copy),
+          static_cast<unsigned long long>(r.bytes_view),
           i + 1 < rows.size() ? "," : "");
     }
-    double tot_view = 0, tot_copy = 0;
-    uint64_t tot_bytes_view = 0, tot_bytes_copy = 0;
+    double tot_view = 0;
+    uint64_t tot_bytes_view = 0;
     for (const Row& r : rows) {
       tot_view += r.build_view_s;
-      tot_copy += r.build_copy_s;
       tot_bytes_view += r.bytes_view;
-      tot_bytes_copy += r.bytes_copy;
     }
     // Per-row times at CI sizes are noisy; trajectory comparisons should
     // use the sweep totals.
     std::fprintf(f,
                  "  ],\n  \"totals\": {\"build_view_s\": %.6f, "
-                 "\"build_copy_s\": %.6f, \"fragment_bytes_view\": %llu, "
-                 "\"fragment_bytes_copy\": %llu}\n}\n",
-                 tot_view, tot_copy,
-                 static_cast<unsigned long long>(tot_bytes_view),
-                 static_cast<unsigned long long>(tot_bytes_copy));
+                 "\"fragment_bytes_view\": %llu}\n}\n",
+                 tot_view, static_cast<unsigned long long>(tot_bytes_view));
     std::fclose(f);
     std::fprintf(stderr, "wrote %s: %zu rows\n", json, rows.size());
   }

@@ -79,7 +79,7 @@ int main() {
     size_t num_requests =
         std::min<size_t>(small ? 64 : 512,
                          std::max<size_t>(cands.size() / batch_size, 1));
-    std::vector<ServeRequest> requests(num_requests);
+    std::vector<SessionRequest> requests(num_requests);
     for (auto& req : requests) {
       for (size_t i = 0; i < batch_size; ++i) {
         req.centers.push_back(cands[rng() % cands.size()]);
@@ -88,8 +88,8 @@ int main() {
 
     auto run_requests = [&]() -> double {
       Timer t;
-      for (const ServeRequest& req : requests) {
-        auto reply = s.Serve(req);
+      for (const SessionRequest& req : requests) {
+        auto reply = s.Query(req);
         if (!reply.ok()) std::abort();
       }
       return static_cast<double>(requests.size()) / t.Seconds();
@@ -99,8 +99,10 @@ int main() {
     double warm_qps = run_requests();
 
     // Warm full identification (the batch-equivalent answer, from cache).
+    SessionRequest all;
+    all.all_centers = true;
     Timer tw;
-    auto warm_all = s.IdentifyAll(1.0);
+    auto warm_all = s.Query(all);
     double warm_all_s = tw.Seconds();
     if (!warm_all.ok() || warm_all->entities != batch->entities) {
       std::fprintf(stderr, "serve/batch mismatch at m=%zu\n", m);
@@ -108,17 +110,17 @@ int main() {
     }
 
     // Delta: a few random inserts, then the same request set.
-    std::vector<EdgeInsert> inserts;
+    GraphDelta delta;
     {
       LabelId follows = g.labels().Lookup("follows");
       if (follows == kNoLabel) follows = q.edge_label;
       for (int i = 0; i < 8; ++i) {
-        inserts.push_back(
+        delta.inserts.push_back(
             {static_cast<NodeId>(rng() % g.num_nodes()), follows,
              static_cast<NodeId>(rng() % g.num_nodes())});
       }
     }
-    auto ds = s.ApplyDelta(inserts);
+    auto ds = s.ApplyDelta(delta);
     if (!ds.ok()) return 1;
     double after_delta_qps = run_requests();
 
@@ -139,7 +141,7 @@ int main() {
   }
 
   std::printf(
-      "qps = %zu-center Serve requests per second (cold: empty cache; warm:\n"
+      "qps = %zu-center Query requests per second (cold: empty cache; warm:\n"
       "repeat of the same request set; delta_qps: after an 8-edge delta).\n"
       "batch(s) = one IdentifyEntities call — the per-request baseline a\n"
       "server-less deployment pays; warm_all(s) = the same answer from the\n"

@@ -48,9 +48,9 @@ class CenterEvaluator {
 /// anywhere in G) were found globally — when false, Q matches nobody.
 ///
 /// Every factory takes the fragment as (graph, view): `view == nullptr`
-/// means `frag_graph` is the fragment itself (a copied induced subgraph, or
-/// the whole graph), non-null restricts matching to the zero-copy fragment
-/// view — candidates and evidence are then parent-global ids.
+/// means matching runs on the whole `frag_graph`; non-null restricts it to
+/// the zero-copy fragment view over it. Candidates and evidence are
+/// `frag_graph` ids either way.
 
 /// Matchc (Section 5.1): one pattern check per candidate via the minimal
 /// policy, but membership decided by *enumerating* matches (no early

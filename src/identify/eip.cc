@@ -103,7 +103,6 @@ Result<EipResult> IdentifyEntities(const Graph& g,
   PartitionOptions popt;
   popt.num_fragments = options.num_workers;
   popt.d = std::max<uint32_t>(d, 1);
-  popt.use_fragment_copies = options.use_fragment_copies;
   GPAR_ASSIGN_OR_RETURN(Partitioning parts, PartitionGraph(g, centers, popt));
 
   // Satisfiability of antecedent components not containing x (empty for
@@ -126,11 +125,9 @@ Result<EipResult> IdentifyEntities(const Graph& g,
 
   bsp.RunRound([&](uint32_t i) {
     const Fragment& frag = parts.fragments[i];
-    // View-backed fragments match on the parent CSR restricted by
-    // membership (global ids throughout); the copied path (ablation)
-    // matches the materialized subgraph through the MatchId translation.
-    const Graph& fg = frag.uses_copy() ? frag.copy->graph : g;
-    const GraphView* view = frag.uses_copy() ? nullptr : &frag.view;
+    // Fragments match on the parent CSR restricted by view membership
+    // (global ids throughout).
+    const GraphView* view = &frag.view;
     WorkerOut& out = outs[i];
     out.pr_members.resize(sigma.size());
     out.q_members.resize(sigma.size());
@@ -138,35 +135,34 @@ Result<EipResult> IdentifyEntities(const Graph& g,
     std::unique_ptr<CenterEvaluator> evaluator;
     switch (options.algorithm) {
       case EipAlgorithm::kMatch:
-        evaluator = MakeMatchEvaluator(fg, view, sigma, other_ok,
+        evaluator = MakeMatchEvaluator(g, view, sigma, other_ok,
                                        options.sketch_hops,
                                        options.use_guided_search,
                                        options.share_multi_patterns);
         break;
       case EipAlgorithm::kMatchc:
-        evaluator = MakeMatchcEvaluator(fg, view, sigma, other_ok,
+        evaluator = MakeMatchcEvaluator(g, view, sigma, other_ok,
                                         options.enumeration_cap);
         break;
       case EipAlgorithm::kDisVf2:
-        evaluator = MakeDisVf2Evaluator(fg, view, sigma, other_ok,
+        evaluator = MakeDisVf2Evaluator(g, view, sigma, other_ok,
                                         options.enumeration_cap);
         break;
       case EipAlgorithm::kSequential:
         return;  // handled above
     }
 
-    VF2Matcher base_matcher(fg, view);  // for the cheap P_q classification
+    VF2Matcher base_matcher(g, view);  // for the cheap P_q classification
     std::vector<char> in_pr, in_q;
     for (NodeId global : frag.centers) {
-      NodeId probe = frag.MatchId(global);
-      bool is_q = base_matcher.ExistsAt(pq, probe);
-      bool is_qbar = !is_q && frag.HasOutLabelAt(global, q.edge_label);
+      bool is_q = base_matcher.ExistsAt(pq, global);
+      bool is_qbar = !is_q && view->HasOutLabel(global, q.edge_label);
       if (is_q) ++out.supp_q;
       if (is_qbar) {
         ++out.supp_qbar;
         out.qbar_globals.push_back(global);
       }
-      evaluator->Evaluate(probe, is_q, is_qbar, need_q_membership, &in_pr,
+      evaluator->Evaluate(global, is_q, is_qbar, need_q_membership, &in_pr,
                           &in_q);
       for (size_t ri = 0; ri < sigma.size(); ++ri) {
         if (in_pr[ri]) out.pr_members[ri].push_back(global);

@@ -44,10 +44,6 @@ struct EipOptions {
   bool use_guided_search = true;     ///< sketch-guided candidate ordering
   bool share_multi_patterns = true;  ///< anchored-subsumption sharing over Σ
   uint64_t enumeration_cap = 0;  ///< per-candidate embedding cap, 0 = none
-  /// Materialize fragments as copied induced subgraphs instead of
-  /// zero-copy views over the parent CSR (the A/B baseline; results are
-  /// identical — see the view/copy equivalence tests).
-  bool use_fragment_copies = false;
 };
 
 /// Per-rule evaluation assembled across fragments.

@@ -16,6 +16,11 @@ Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
         std::to_string(setup.bool_flags >> 8) +
         " above bit 7): written by a newer build?");
   }
+  if ((setup.bool_flags & kPruneAwareUsuppFlag) != 0) {
+    return Status::InvalidArgument(
+        "evidence setup was mined with the removed prune-aware Usupp "
+        "heuristic (flag bit 7); it is not maintainable");
+  }
   MaintainOptions o = base;
   o.mine.k = setup.k;
   o.mine.d = setup.d;
@@ -28,10 +33,7 @@ Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
   o.mine.enable_reduction_rules = (setup.bool_flags & (1u << 1)) != 0;
   o.mine.enable_bisim_prefilter = (setup.bool_flags & (1u << 2)) != 0;
   o.mine.enable_parent_prune = (setup.bool_flags & (1u << 3)) != 0;
-  o.mine.enable_worker_gen = (setup.bool_flags & (1u << 4)) != 0;
-  o.mine.use_fragment_copies = (setup.bool_flags & (1u << 5)) != 0;
-  o.mine.enable_shared_plans = (setup.bool_flags & (1u << 6)) != 0;
-  o.mine.enable_prune_aware_usupp = (setup.bool_flags & (1u << 7)) != 0;
+  // Bits 4-6 are retired and ignored (kRetiredSetupFlags).
   return o;
 }
 

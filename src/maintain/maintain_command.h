@@ -55,8 +55,9 @@ struct MaintainReport {
 /// Rebuilds the MaintainOptions a v2 snapshot's evidence was produced
 /// under: `base` supplies everything that is not part of the mining setup
 /// (`enable_incremental_maintenance`, `mine.num_workers`), the setup
-/// supplies the mining parameters and ablation flags. InvalidArgument when
-/// the setup carries flag bits this build does not know.
+/// supplies the mining parameters and ablation flags. Retired bits 4-6 are
+/// ignored. InvalidArgument when the setup carries bit 7 (the removed
+/// prune-aware Usupp heuristic) or flag bits this build does not know.
 Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
                                                  const MaintainOptions& base);
 

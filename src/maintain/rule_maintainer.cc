@@ -24,11 +24,7 @@ uint32_t PackFlags(const DmineOptions& o) {
   if (o.enable_reduction_rules) f |= 1u << 1;
   if (o.enable_bisim_prefilter) f |= 1u << 2;
   if (o.enable_parent_prune) f |= 1u << 3;
-  if (o.enable_worker_gen) f |= 1u << 4;
-  if (o.use_fragment_copies) f |= 1u << 5;
-  if (o.enable_shared_plans) f |= 1u << 6;
-  if (o.enable_prune_aware_usupp) f |= 1u << 7;
-  return f;
+  return f | kRetiredSetupFlagsWritten;
 }
 
 MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
@@ -54,12 +50,6 @@ Status ValidateOptions(const MaintainOptions& options) {
   }
   if (options.mine.d == 0) {
     return Status::InvalidArgument("d must be at least 1");
-  }
-  if (options.mine.enable_prune_aware_usupp) {
-    return Status::InvalidArgument(
-        "enable_prune_aware_usupp is not maintainable: its Usupp tightening "
-        "depends on fragment geometry the sequential maintainer does not "
-        "have");
   }
   return Status::OK();
 }
@@ -135,6 +125,10 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
                     labels->Intern(evidence.setup.y_label)};
   std::unique_ptr<RuleMaintainer> m(
       new RuleMaintainer(std::move(g), q, options));
+  // The retired bits never changed results: compare with them normalized.
+  evidence.setup.bool_flags =
+      (evidence.setup.bool_flags & ~kRetiredSetupFlags) |
+      kRetiredSetupFlagsWritten;
   if (!(evidence.setup == m->evidence_.setup)) {
     return Status::InvalidArgument(
         "evidence mining setup does not match MaintainOptions: evidence is "
@@ -170,7 +164,7 @@ Status RuleMaintainer::RefreshPass(
 
   VF2Matcher matcher(g);
   SearchPlanStore plan_store(g);
-  if (mo.enable_shared_plans) {
+  {
     PNodeId px = pq_.x();
     plan_store.Prepare(pq_, {&px, 1});
     matcher.set_plan_store(&plan_store);
@@ -294,13 +288,11 @@ Status RuleMaintainer::RefreshPass(
       }
     }
 
-    if (mo.enable_shared_plans) {
-      for (const Gpar& r : candidates) {
-        PNodeId prx = r.pr().x();
-        plan_store.Prepare(r.pr(), {&prx, 1});
-        PNodeId qx = r.x_component().x();
-        plan_store.Prepare(r.x_component(), {&qx, 1});
-      }
+    for (const Gpar& r : candidates) {
+      PNodeId prx = r.pr().x();
+      plan_store.Prepare(r.pr(), {&prx, 1});
+      PNodeId qx = r.x_component().x();
+      plan_store.Prepare(r.x_component(), {&qx, 1});
     }
 
     std::vector<std::shared_ptr<MinedRule>> delta;
@@ -386,8 +378,7 @@ Status RuleMaintainer::RefreshPass(
       rule->supp = ent.pr_matches.size();
       rule->matches = ent.pr_matches;
       rule->extendable = rule->supp > 0;
-      rule->usupp = rule->supp;  // enable_prune_aware_usupp rejected upfront
-      rule->uconf_plus = UConfPlus(rule->usupp, supp_qbar, supp_q);
+      rule->uconf_plus = UConfPlus(rule->supp, supp_qbar, supp_q);
 
       if (other_ok[ci]) {
         ent.ant_probed = true;

@@ -26,8 +26,7 @@ struct MaintainOptions {
   /// return on the current graph), so they are fixed at construction and
   /// persisted with the evidence. `num_workers` is irrelevant here — DMine
   /// results are worker-count-independent and the maintainer patches
-  /// sequentially — and `enable_prune_aware_usupp` is rejected (its Usupp
-  /// tightening depends on fragment geometry the maintainer does not have).
+  /// sequentially.
   DmineOptions mine;
   /// The subsystem's own ablation flag: off = every pass re-probes every
   /// pool center from scratch (a sequential re-mine — the "remine" baseline

@@ -113,7 +113,6 @@ struct WorkerState {
 struct LocalStats {
   uint64_t supp_r = 0;
   uint64_t supp_qqbar = 0;
-  uint64_t usupp = 0;
   bool extendable = false;
   std::vector<NodeId> matches_global;
   // Parent sets handed to this candidate's own extensions (collected only
@@ -142,10 +141,10 @@ std::vector<CandidateProposal> MergeProposals(
     DmineStats* stats) {
   // (parent, ext_ordinal) is an exact identity: GenerateExtensions is
   // deterministic, so two fragments proposing the same key materialized the
-  // same grown pattern. Re-sorting by that key recovers the centralized
+  // same grown pattern. Re-sorting by that key recovers the sequential
   // emission order — parents in round-list order, ordinals in generation
-  // order — which keeps the downstream dedup/cap stream byte-identical to
-  // the centralized path's. This is coordinator critical-path code: sort
+  // order — so the downstream dedup/cap stream does not depend on which
+  // fragment proposed what. This is coordinator critical-path code: sort
   // lightweight indices, not the Gpar-carrying proposals, and move each
   // surviving proposal exactly once.
   size_t total = 0;
@@ -246,7 +245,6 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   PartitionOptions popt;
   popt.num_fragments = options.num_workers;
   popt.d = options.d;
-  popt.use_fragment_copies = options.use_fragment_copies;
   GPAR_ASSIGN_OR_RETURN(Partitioning parts, PartitionGraph(g, centers, popt));
 
   std::vector<EdgePatternStat> seeds =
@@ -259,33 +257,27 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   // once; worker matchers consult it read-only during rounds (patterns are
   // identical across fragments, so per-worker planning is pure redundancy).
   SearchPlanStore plan_store(g);
-  if (options.enable_shared_plans) {
-    bsp.RunCoordinator([&] {
-      PNodeId px = pq.x();
-      plan_store.Prepare(pq, {&px, 1});
-    });
-  }
+  bsp.RunCoordinator([&] {
+    PNodeId px = pq.x();
+    plan_store.Prepare(pq, {&px, 1});
+  });
 
   // Round 0: per-fragment matcher construction and the q / ~q sets, which
-  // "never change and hence are derived once for all". View-backed
-  // fragments match directly on global ids over the parent CSR; the copied
-  // path (ablation) translates through MatchId.
+  // "never change and hence are derived once for all". Fragments are views
+  // over the parent CSR, so matching runs directly on global ids.
   bsp.RunRound([&](uint32_t i) {
     WorkerState& w = workers[i];
     w.frag = &parts.fragments[i];
-    w.matcher = w.frag->uses_copy()
-                    ? std::make_unique<VF2Matcher>(w.frag->copy->graph)
-                    : std::make_unique<VF2Matcher>(w.frag->view);
-    if (options.enable_shared_plans) w.matcher->set_plan_store(&plan_store);
+    w.matcher = std::make_unique<VF2Matcher>(w.frag->view);
+    w.matcher->set_plan_store(&plan_store);
     const size_t nc = w.frag->centers.size();
     for (size_t c = 0; c < nc; ++c) {
       const NodeId global = w.frag->centers[c];
-      const NodeId probe = w.frag->MatchId(global);
       ++w.exists_calls;
-      if (w.matcher->ExistsAt(pq, probe)) {
+      if (w.matcher->ExistsAt(pq, global)) {
         w.q_centers.push_back(static_cast<uint32_t>(c));
         ++w.supp_q_local;
-      } else if (w.frag->HasOutLabelAt(global, q.edge_label)) {
+      } else if (w.frag->view.HasOutLabel(global, q.edge_label)) {
         w.qbar_centers.push_back(static_cast<uint32_t>(c));
         ++w.supp_qbar_local;
       }
@@ -347,8 +339,6 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   // support. Without pruning (ablation), every candidate re-tests the
   // full round-0 pools — the pre-lineage cost structure.
   const bool prune = options.enable_parent_prune;
-  const bool worker_gen = options.enable_worker_gen;
-  const bool usupp_tight = options.enable_prune_aware_usupp;
 
   // Each round grows antecedents by one edge (radius capped at d by the
   // generator), up to max_pattern_edges edges — the levelwise structure of
@@ -357,151 +347,86 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
        round <= options.max_pattern_edges &&
        (round == 1 || !m_parents.empty());
        ++round) {
-    // --- Candidate generation: this round's fresh extension stream, in
-    // (parent, generation-ordinal) order, before dedup. Both paths produce
-    // the identical stream; they differ only in *where* the enumeration
-    // work runs.
-    std::vector<Gpar> fresh;
-    std::vector<size_t> fresh_parent;
-    // coordinator_merge_seconds spans every coordinator section from here
-    // through dedup/cap: merge-only under worker_gen, full generation +
-    // dedup on the centralized path — the share the WorkerGen ablation
-    // compares. (Worker rounds in between add nothing to it.)
+    // --- Workers: propose this round's extensions. Round 1 extends the
+    // bare predicate (one root parent); later rounds extend M. A parent may
+    // survive in several fragments (its lineage matched there; without
+    // lineage, the fragment's q-pool is non-empty), and each would
+    // enumerate the identical deterministic extension set, so exactly one —
+    // round-robin over the survivors by parent index, for balance —
+    // materializes and ships the proposals. Each worker derives the
+    // assignment locally from the broadcast lineage (no extra coordinator
+    // round). Every extendable parent survives somewhere; correctness only
+    // needs one deterministic owner per parent, so a survivor-free parent
+    // would still be assigned soundly.
     const double merge_start = bsp.times().coordinator_seconds;
-    if (worker_gen) {
-      // Workers: propose extensions from the parents that survive locally
-      // (lineage sets from PR 2; round 1 extends the bare predicate from
-      // the q-pool). A parent may survive in several fragments; since every
-      // surviving fragment would enumerate the identical deterministic
-      // extension set, exactly one of them — round-robin over the
-      // survivors by parent index, for balance — materializes and ships
-      // the proposals. Each worker derives the assignment locally from the
-      // broadcast lineage (no extra coordinator round), and only ever
-      // generates from parents whose matches live in its own fragment.
-      // Without parent lineage (prune off) the survivor set degrades to
-      // "fragments with a non-empty q-pool". MergeProposals keeps the
-      // duplicate-collapse path regardless, as a tripwire
-      // (`cross_fragment_merged` stays 0 unless the assignment ever
-      // double-proposes).
-      auto proposals = bsp.RunRound([&](uint32_t wi) {
-        const WorkerState& w = workers[wi];
-        std::vector<CandidateProposal> out;
-        // survives(j): fragment j holds centers this parent can extend at.
-        // Every extendable parent (and, round 1, the bare predicate, since
-        // supp_q > 0 here) survives in at least one fragment; correctness
-        // only needs *one deterministic owner per parent*, so a survivor-
-        // free parent (impossible by the invariant above) would still be
-        // assigned soundly, just without the locality rationale.
-        auto owner_of = [&](size_t pi, auto survives) -> uint32_t {
-          uint32_t count = 0;
-          for (uint32_t j = 0; j < options.num_workers; ++j) {
-            if (survives(j)) ++count;
-          }
-          if (count == 0) {
-            return static_cast<uint32_t>(pi % options.num_workers);
-          }
+    const bool root_round = round == 1;
+    const size_t num_parents = root_round ? 1 : m_parents.size();
+    auto proposals = bsp.RunRound([&](uint32_t wi) {
+      auto survives = [&](size_t pi, uint32_t j) {
+        return prune && !root_round
+                   ? !m_parents[pi]->frag_pr_centers[j].empty()
+                   : !workers[j].q_centers.empty();
+      };
+      std::vector<CandidateProposal> out;
+      for (size_t pi = 0; pi < num_parents; ++pi) {
+        uint32_t count = 0;
+        for (uint32_t j = 0; j < options.num_workers; ++j) {
+          if (survives(pi, j)) ++count;
+        }
+        uint32_t owner = static_cast<uint32_t>(pi % options.num_workers);
+        if (count > 0) {
           uint32_t target = static_cast<uint32_t>(pi % count);
           for (uint32_t j = 0; j < options.num_workers; ++j) {
-            if (!survives(j)) continue;
-            if (target == 0) return j;
+            if (!survives(pi, j)) continue;
+            if (target == 0) {
+              owner = j;
+              break;
+            }
             --target;
           }
-          return 0;  // unreachable: count > 0
-        };
-        auto propose_from = [&](const Pattern& ant, size_t parent_idx,
-                                uint32_t evidence) {
-          std::vector<Gpar> ext = GenerateExtensions(
-              ant, q.edge_label, options.d, options.max_pattern_edges, seeds);
-          for (uint32_t e = 0; e < ext.size(); ++e) {
-            CandidateProposal p;
-            p.parent = parent_idx;
-            p.ext_ordinal = e;
-            p.structural_hash = StructuralHash(ext[e].pr());
-            p.local_evidence = evidence;
-            p.rule = std::move(ext[e]);
-            out.push_back(std::move(p));
-          }
-        };
-        auto q_pool = [&](uint32_t j) {
-          return !workers[j].q_centers.empty();
-        };
-        if (round == 1) {
-          if (owner_of(0, q_pool) == wi) {
-            propose_from(base, kRootParent,
-                         static_cast<uint32_t>(w.q_centers.size()));
-          }
-        } else {
-          for (size_t pi = 0; pi < m_parents.size(); ++pi) {
-            const uint32_t owner =
-                prune ? owner_of(pi,
-                                 [&](uint32_t j) {
-                                   return !m_parents[pi]
-                                               ->frag_pr_centers[j]
-                                               .empty();
-                                 })
-                      : owner_of(pi, q_pool);
-            if (owner != wi) continue;
-            const size_t evidence = prune
-                                        ? m_parents[pi]->frag_pr_centers[wi].size()
-                                        : w.q_centers.size();
-            propose_from(m_parents[pi]->rule.antecedent(), pi,
-                         static_cast<uint32_t>(evidence));
-          }
         }
-        return out;
-      });
-      // Coordinator: its generation role shrinks to the cross-fragment
-      // (parent, ordinal) merge; automorphism dedup + cap follow below,
-      // shared with the centralized path.
-      bsp.RunCoordinator([&] {
-        if (result.stats.proposals_per_worker.empty()) {
-          result.stats.proposals_per_worker.assign(options.num_workers, 0);
+        if (owner != wi) continue;
+        const Pattern& ant =
+            root_round ? base : m_parents[pi]->rule.antecedent();
+        const size_t evidence =
+            prune && !root_round ? m_parents[pi]->frag_pr_centers[wi].size()
+                                 : workers[wi].q_centers.size();
+        std::vector<Gpar> ext = GenerateExtensions(
+            ant, q.edge_label, options.d, options.max_pattern_edges, seeds);
+        for (uint32_t e = 0; e < ext.size(); ++e) {
+          CandidateProposal p;
+          p.parent = root_round ? kRootParent : pi;
+          p.ext_ordinal = e;
+          p.structural_hash = StructuralHash(ext[e].pr());
+          p.local_evidence = static_cast<uint32_t>(evidence);
+          p.rule = std::move(ext[e]);
+          out.push_back(std::move(p));
         }
-        for (uint32_t i = 0; i < options.num_workers; ++i) {
-          result.stats.proposals_per_worker[i] += proposals[i].size();
-        }
-        std::vector<CandidateProposal> merged =
-            MergeProposals(std::move(proposals), &result.stats);
-        result.stats.candidates_generated += merged.size();
-        fresh.reserve(merged.size());
-        fresh_parent.reserve(merged.size());
-        for (CandidateProposal& p : merged) {
-          fresh.push_back(std::move(p.rule));
-          fresh_parent.push_back(p.parent);
-        }
-      });
-    } else {
-      // Centralized baseline: the coordinator enumerates every parent's
-      // extensions itself (the pre-decentralization contract, kept for the
-      // Exp-1 A/B ablation).
-      bsp.RunCoordinator([&] {
-        auto generate_from = [&](const Pattern& ant, size_t parent_idx) {
-          std::vector<Gpar> ext = GenerateExtensions(
-              ant, q.edge_label, options.d, options.max_pattern_edges, seeds);
-          result.stats.candidates_generated += ext.size();
-          for (Gpar& e : ext) {
-            fresh.push_back(std::move(e));
-            fresh_parent.push_back(parent_idx);
-          }
-        };
-        if (round == 1) {
-          generate_from(base, kRootParent);
-        } else {
-          for (size_t pi = 0; pi < m_parents.size(); ++pi) {
-            generate_from(m_parents[pi]->rule.antecedent(), pi);
-          }
-        }
-      });
-    }
+      }
+      return out;
+    });
 
-    // --- Coordinator: automorphism dedup + cap + global component check,
-    // identical under both generation paths (same fresh stream in, same
-    // candidate set out). coordinator_merge_seconds isolates this round's
-    // candidate-production share of the coordinator from assembly/incDiv.
+    // --- Coordinator: merge cross-fragment duplicate proposals (a tripwire:
+    // `cross_fragment_merged` stays 0 unless the assignment ever
+    // double-proposes), then automorphism dedup + cap + global component
+    // check. coordinator_merge_seconds isolates this candidate-production
+    // share of the coordinator from assembly/incDiv.
     std::vector<Gpar> candidates;
     std::vector<size_t> cand_parent;  // per candidate: m_parents index
     std::vector<char> other_ok;  // per candidate: non-x components matchable
     bsp.RunCoordinator([&] {
+      if (result.stats.proposals_per_worker.empty()) {
+        result.stats.proposals_per_worker.assign(options.num_workers, 0);
+      }
+      for (uint32_t i = 0; i < options.num_workers; ++i) {
+        result.stats.proposals_per_worker[i] += proposals[i].size();
+      }
+      std::vector<CandidateProposal> merged =
+          MergeProposals(std::move(proposals), &result.stats);
+      result.stats.candidates_generated += merged.size();
+      std::vector<Gpar> fresh;
+      fresh.reserve(merged.size());
+      for (CandidateProposal& p : merged) fresh.push_back(std::move(p.rule));
       std::vector<size_t> kept = DedupCandidates(
           fresh, options.max_candidates_per_round, &seen_buckets,
           options.enable_bisim_prefilter, &result.stats);
@@ -509,7 +434,7 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
       cand_parent.reserve(kept.size());
       for (size_t idx : kept) {
         candidates.push_back(std::move(fresh[idx]));
-        cand_parent.push_back(fresh_parent[idx]);
+        cand_parent.push_back(merged[idx].parent);
       }
       result.stats.candidates_verified += candidates.size();
       other_ok.assign(candidates.size(), 1);
@@ -527,19 +452,16 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
     if (candidates.empty()) break;
 
     // Plan this round's patterns once into the shared store (outside the
-    // merge-seconds window: planning is not part of the generation-path
-    // A/B the WorkerGen ablation measures). Workers then probe P_R and the
-    // antecedent's x-component anchored at x with store-served plans.
-    if (options.enable_shared_plans) {
-      bsp.RunCoordinator([&] {
-        for (const Gpar& r : candidates) {
-          PNodeId prx = r.pr().x();
-          plan_store.Prepare(r.pr(), {&prx, 1});
-          PNodeId qx = r.x_component().x();
-          plan_store.Prepare(r.x_component(), {&qx, 1});
-        }
-      });
-    }
+    // merge-seconds window). Workers then probe P_R and the antecedent's
+    // x-component anchored at x with store-served plans.
+    bsp.RunCoordinator([&] {
+      for (const Gpar& r : candidates) {
+        PNodeId prx = r.pr().x();
+        plan_store.Prepare(r.pr(), {&prx, 1});
+        PNodeId qx = r.x_component().x();
+        plan_store.Prepare(r.x_component(), {&qx, 1});
+      }
+    });
 
     // --- Workers: local support counting over owned centers. -------------
     std::vector<std::vector<LocalStats>> local(options.num_workers);
@@ -562,16 +484,9 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
         for (uint32_t c : pr_pool) {
           const NodeId global = w.frag->centers[c];
           ++w.exists_calls;
-          if (w.matcher->ExistsAt(r.pr(), w.frag->MatchId(global))) {
+          if (w.matcher->ExistsAt(r.pr(), global)) {
             ++ls.supp_r;
             ls.matches_global.push_back(global);
-            // Anti-monotonicity makes supp_r a sound Usupp bound: any
-            // extension matches a subset of these centers. The prune-aware
-            // tightening (flagged) additionally requires the center's N_d
-            // to still have room to grow.
-            if (!usupp_tight || w.frag->center_hops_available[c] > 0) {
-              ++ls.usupp;
-            }
             ls.extendable = true;
             if (prune) ls.pr_centers.push_back(c);
           }
@@ -584,9 +499,8 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
         if (other_ok[ci]) {
           w.centers_skipped += w.qbar_centers.size() - ant_pool.size();
           for (uint32_t c : ant_pool) {
-            const NodeId probe = w.frag->MatchId(w.frag->centers[c]);
             ++w.exists_calls;
-            if (w.matcher->ExistsAt(r.x_component(), probe)) {
+            if (w.matcher->ExistsAt(r.x_component(), w.frag->centers[c])) {
               ++ls.supp_qqbar;
               if (prune) ls.ant_centers.push_back(c);
             }
@@ -614,7 +528,6 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto rule = std::make_shared<MinedRule>();
         rule->rule = candidates[ci];
-        uint64_t usupp = 0;
         const MinedRule* parent = nullptr;
         if (prune && cand_parent[ci] != kRootParent) {
           parent = m_parents[cand_parent[ci]].get();
@@ -627,7 +540,6 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
           LocalStats& ls = local[i][ci];
           rule->supp += ls.supp_r;
           rule->supp_qqbar += ls.supp_qqbar;
-          usupp += ls.usupp;
           rule->extendable = rule->extendable || ls.extendable;
           rule->matches.insert(rule->matches.end(), ls.matches_global.begin(),
                                ls.matches_global.end());
@@ -649,8 +561,9 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
           }
         }
         std::sort(rule->matches.begin(), rule->matches.end());
-        rule->usupp = usupp;
-        rule->uconf_plus = UConfPlus(usupp, supp_qbar, supp_q);
+        // Anti-monotonicity makes supp a sound Usupp bound (Lemma 3): any
+        // extension matches a subset of these centers.
+        rule->uconf_plus = UConfPlus(rule->supp, supp_qbar, supp_q);
         if (rule->supp < options.sigma) continue;
         if (rule->supp_qqbar == 0) {
           // Trivial "logic rule": holds on all of Q(x, G); discarded per

@@ -18,18 +18,18 @@ struct MinedRule {
   double conf = 0;           ///< BF/LCWA confidence
   std::vector<NodeId> matches;  ///< P_R(x, G), global ids, sorted (for diff)
   bool extendable = false;   ///< some match still has unexplored hops
-  uint64_t usupp = 0;        ///< matches with expansion room (Lemma 3)
-  double uconf_plus = 0;     ///< Uconf+(R): confidence bound for extensions
+  /// Uconf+(R): confidence bound for extensions, from Usupp = supp.
+  double uconf_plus = 0;
   bool pruned = false;       ///< removed from Σ/ΔE by the reduction rules
 
   /// Per-fragment (parallel to the DMine worker array) local-center indices
   /// where P_R matched. Anti-monotonicity makes this the exact search pool
   /// for every extension of this rule: a child's P_R contains the parent's
   /// P_R, so the child can only match where the parent did. Doubly used by
-  /// decentralized candidate generation (`enable_worker_gen`): the rule
-  /// "survives" in fragment i iff frag_pr_centers[i] is non-empty, exactly
-  /// one surviving fragment owns (proposes) the rule's extensions, and the
-  /// owner ships its list's size as the proposal's local support evidence.
+  /// decentralized candidate generation: the rule "survives" in fragment i
+  /// iff frag_pr_centers[i] is non-empty, exactly one surviving fragment
+  /// owns (proposes) the rule's extensions, and the owner ships its list's
+  /// size as the proposal's local support evidence.
   /// The coordinator clears these once the rule's children have been
   /// evaluated.
   std::vector<std::vector<uint32_t>> frag_pr_centers;

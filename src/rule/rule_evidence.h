@@ -32,13 +32,24 @@ struct MiningSetup {
   uint32_t max_pattern_edges = 6;
   uint64_t seed_edge_limit = 20;
   uint64_t max_candidates_per_round = 300;
-  /// The `DmineOptions` ablation booleans, bit-packed (see
-  /// `MaintainOptions` for the mapping). Part of the setup because flags
-  /// like `enable_bisim_prefilter` change which candidates survive dedup.
+  /// The `DmineOptions` ablation booleans, bit-packed in declaration order
+  /// (bits 0-3). Part of the setup because flags like
+  /// `enable_bisim_prefilter` change which candidates survive dedup. Bits
+  /// 4-7 are retired: see `kRetiredSetupFlags`.
   uint32_t bool_flags = 0;
 
   friend bool operator==(const MiningSetup&, const MiningSetup&) = default;
 };
+
+/// Bits 4-6 of `MiningSetup::bool_flags` once held implementation switches
+/// that never changed results (worker-side generation, copied fragments,
+/// shared search plans). Readers ignore them; writers keep emitting the old
+/// default pattern (bits 4 and 6 set), so default-option snapshots stay
+/// byte-identical. Bit 7 (the removed prune-aware Usupp heuristic) could
+/// change results, so a setup carrying it is rejected.
+inline constexpr uint32_t kRetiredSetupFlags = 0x70u;
+inline constexpr uint32_t kRetiredSetupFlagsWritten = (1u << 4) | (1u << 6);
+inline constexpr uint32_t kPruneAwareUsuppFlag = 1u << 7;
 
 /// Match evidence for one evaluated candidate rule: the exact center sets
 /// the last discovery pass computed. `pr_matches` are the candidates

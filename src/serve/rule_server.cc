@@ -8,9 +8,9 @@
 
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "graph/graph_snapshot.h"
 #include "match/guided.h"
 #include "rule/metrics.h"
+#include "serve/durability.h"
 
 namespace gpar {
 
@@ -46,31 +46,6 @@ RuleServer::RuleServer(std::vector<RuleRecord> rules,
       initial_records_(std::move(rules)),
       pool_(std::max(1u, options.num_workers)) {
   options_.num_workers = pool_.num_threads();
-}
-
-Result<std::unique_ptr<RuleServer>> RuleServer::Load(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const RuleServerOptions& options) {
-  GPAR_FAILPOINT("snapshot.load");
-  auto g = ReadGraphSnapshotFile(graph_snapshot_path);
-  if (!g.ok()) return g.status();
-  auto rules =
-      ReadRuleSetSnapshotFile(rules_snapshot_path, g->mutable_labels());
-  if (!rules.ok()) return rules.status();
-  return Create(std::move(g).value(), std::move(rules).value(), options);
-}
-
-Result<std::unique_ptr<RuleServer>> RuleServer::Recover(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const std::string& journal_path,
-    const RuleServerOptions& options,
-    const DeltaJournalOptions& journal_options, JournalReplayStats* replay) {
-  GPAR_ASSIGN_OR_RETURN(
-      std::unique_ptr<RuleServer> server,
-      Load(graph_snapshot_path, rules_snapshot_path, options));
-  GPAR_RETURN_NOT_OK(
-      server->AttachJournal(journal_path, journal_options, replay));
-  return server;
 }
 
 Result<std::unique_ptr<RuleServer>> RuleServer::Create(
@@ -541,15 +516,9 @@ Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
   const std::shared_ptr<const State> st = AcquireState();
   Timer timer;
   DeltaStats ds;
-  // Replayed journal frames carry their own label dictionary (v3 wire);
-  // re-intern before patching so a frame minted after the snapshot was
-  // written still resolves. Live deltas have no defs — this is free.
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, interner_.get()));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*st->graph, delta));
-  ds.edges_inserted = patch.edges_inserted;
-  ds.duplicates_ignored = patch.duplicates;
-  ds.edges_deleted = patch.edges_deleted;
-  ds.deletes_missing = patch.missing;
+  GPAR_ASSIGN_OR_RETURN(
+      GraphPatch patch,
+      PatchForSession(*st->graph, delta, interner_.get(), &ds));
   if (patch.applied.empty() && patch.applied_deletes.empty()) {
     // No structural change: every cached answer and sketch stays valid —
     // and nothing is journaled, so replay reproduces only real mutations.
@@ -561,17 +530,11 @@ Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
     // the raw input: duplicates and missing deletes are already filtered,
     // so snapshot + replay re-derives this exact graph bit-for-bit. An
     // append failure leaves the served state untouched.
-    GraphDelta wire;
-    wire.sequence = journal_->last_sequence() + 1;
-    wire.inserts = patch.applied;
-    wire.deletes = patch.applied_deletes;
-    // Frames name the labels they reference, so replay against an older
-    // snapshot re-interns live-minted labels instead of failing.
-    CollectLabelDefs(*interner_, &wire);
-    const uint64_t bytes_before = journal_->size_bytes();
-    GPAR_RETURN_NOT_OK(journal_->Append(wire));
+    const GraphDelta wire =
+        AppliedFrame(journal_->last_sequence() + 1, patch.applied,
+                     patch.applied_deletes, *interner_);
+    GPAR_RETURN_NOT_OK(AppendLocked(wire, &ds));
     ds.sequence = wire.sequence;
-    ds.journal_bytes = journal_->size_bytes() - bytes_before;
   }
   // The crash window recovery must close: the frame is on disk but not yet
   // published. Replay applies it, converging with the no-crash timeline.
@@ -606,34 +569,11 @@ Status RuleServer::AttachJournal(const std::string& path,
     return Status::InvalidArgument(
         "shard servers do not journal; attach at the router");
   }
-  MutexLock writer(writer_mu_);
-  if (journal_ != nullptr) {
-    return Status::InvalidArgument("a journal is already attached");
-  }
-  JournalReplayStats stats;
-  GPAR_ASSIGN_OR_RETURN(std::vector<GraphDelta> frames,
-                        DeltaJournal::ReadAll(path, &stats));
-  for (const GraphDelta& frame : frames) {
-    // Replay without re-journaling — these frames ARE the journal. The
-    // checkpoint floor marker (an empty frame) falls out as a no-op.
-    auto applied = ApplyDeltaLocked(frame, /*journal=*/false);
-    if (!applied.ok()) return applied.status();
-  }
-  GPAR_ASSIGN_OR_RETURN(journal_, DeltaJournal::Open(path, options));
-  if (replay != nullptr) *replay = stats;
-  return Status::OK();
+  return DurableSession::AttachJournal(path, options, replay);
 }
 
-Status RuleServer::Checkpoint(const std::string& graph_snapshot_path) {
-  MutexLock writer(writer_mu_);
-  if (journal_ == nullptr) {
-    return Status::InvalidArgument("checkpoint requires an attached journal");
-  }
-  const std::shared_ptr<const State> st = AcquireState();
-  GPAR_RETURN_NOT_OK(WriteGraphSnapshotFile(*st->graph, graph_snapshot_path));
-  // The snapshot now carries every journaled frame's effects; compaction
-  // keeps only the sequence floor.
-  return journal_->Compact();
+Status RuleServer::ReplayLocked(const GraphDelta& frame) {
+  return ApplyDeltaLocked(frame, /*journal=*/false).status();
 }
 
 Result<DeltaStats> RuleServer::ApplyShardDelta(
@@ -686,19 +626,12 @@ uint64_t RuleServer::shard_sequence() const {
   return shard_sequence_;
 }
 
-bool RuleServer::journal_attached() const {
-  MutexLock writer(writer_mu_);
-  return journal_ != nullptr;
-}
-
 uint64_t RuleServer::journal_sequence() const {
   MutexLock writer(writer_mu_);
   return journal_ != nullptr ? journal_->last_sequence() : 0;
 }
 
-const std::vector<RuleRecord>& RuleServer::rules() const {
-  // The RuleSet is owned by the published State, which outlives this call;
-  // the reference stays valid until a refresh publishes a different set.
+std::vector<RuleRecord> RuleServer::rules() const {
   return AcquireState()->rules->records;
 }
 
@@ -709,36 +642,19 @@ Status RuleServer::EnableMaintenance(const MaintainOptions& options) {
         "enable maintenance there");
   }
   MutexLock writer(writer_mu_);
-  if (maintainer_ != nullptr) {
-    return Status::InvalidArgument("maintenance is already enabled");
-  }
-  const std::shared_ptr<const State> st = AcquireState();
-  GPAR_ASSIGN_OR_RETURN(maintainer_,
-                        RuleMaintainer::Seed(st->graph, q_, options));
+  GPAR_RETURN_NOT_OK(SeedMaintainerLocked(AcquireState()->graph, q_, options));
   // Every rule the maintainer will ever emit has eval radius <= mine.d, so
   // widening the invalidation radius once up front covers all refreshes.
   max_d_ = std::max(max_d_, std::max<uint32_t>(options.mine.d, 1));
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
-  if (refreshed == st->rules->records) return Status::OK();
-  DeltaStats ds;
-  SwapStateAndInvalidate(*st, st->graph, {}, {}, &ds,
-                         BuildRuleSet(std::move(refreshed)));
-  return Status::OK();
-}
-
-bool RuleServer::maintenance_enabled() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr;
-}
-
-MaintainStats RuleServer::maintain_stats() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr ? maintainer_->lifetime_stats()
-                                : MaintainStats{};
+  return UpdateRulesLocked(maintainer_->TopKRecords());
 }
 
 Status RuleServer::UpdateRules(std::vector<RuleRecord> rules) {
   MutexLock writer(writer_mu_);
+  return UpdateRulesLocked(std::move(rules));
+}
+
+Status RuleServer::UpdateRulesLocked(std::vector<RuleRecord> rules) {
   const std::shared_ptr<const State> st = AcquireState();
   if (rules == st->rules->records) return Status::OK();
   if (!rules.empty()) {
@@ -945,41 +861,6 @@ size_t RuleServer::plans_prepared() const {
 size_t RuleServer::view_members() const {
   const auto st = AcquireState();
   return st->view != nullptr ? st->view->nodes().size() : 0;
-}
-
-Result<ServeReply> RuleServer::Serve(const ServeRequest& request) {
-  SessionRequest req;
-  req.centers = request.centers;
-  req.rules = request.rules;
-  req.require_consequent = request.require_consequent;
-  GPAR_ASSIGN_OR_RETURN(SessionReply r, Query(req));
-  ServeReply reply;
-  reply.matched = std::move(r.matched);
-  reply.entities = std::move(r.entities);
-  reply.stats = r.stats;
-  return reply;
-}
-
-Result<EipResult> RuleServer::IdentifyAll(double eta, bool require_consequent,
-                                          ServeStats* request_stats) {
-  SessionRequest req;
-  req.all_centers = true;
-  req.eta = eta;
-  req.require_consequent = require_consequent;
-  GPAR_ASSIGN_OR_RETURN(SessionReply r, Query(req));
-  EipResult result;
-  result.entities = std::move(r.entities);
-  result.rule_evals = std::move(r.rule_evals);
-  result.supp_q = r.supp_q;
-  result.supp_qbar = r.supp_qbar;
-  if (request_stats != nullptr) *request_stats = r.stats;
-  return result;
-}
-
-Result<DeltaStats> RuleServer::ApplyDelta(std::span<const EdgeInsert> inserts) {
-  GraphDelta delta;
-  delta.inserts.assign(inserts.begin(), inserts.end());
-  return ApplyDelta(delta);
 }
 
 }  // namespace gpar

@@ -24,6 +24,7 @@
 #include "match/matcher.h"
 #include "parallel/thread_pool.h"
 #include "rule/rule_snapshot.h"
+#include "serve/durability.h"
 #include "serve/serve_session.h"
 
 namespace gpar {
@@ -49,22 +50,6 @@ struct RuleServerOptions {
   /// sketch the fragment-induced subgraph, not the parent.)
   bool precompute_sketches = true;
   size_t max_precomputed_sketches = size_t{1} << 17;
-};
-
-/// Deprecated (PR 5) request shape — `SessionRequest` with
-/// `all_centers = false`. Kept as a thin shim through this PR.
-struct ServeRequest {
-  std::vector<NodeId> centers;
-  std::vector<uint32_t> rules;
-  bool require_consequent = false;
-};
-
-/// Deprecated (PR 5) reply shape for `Serve` — the point-lookup subset of
-/// `SessionReply`.
-struct ServeReply {
-  std::vector<std::vector<uint32_t>> matched;
-  std::vector<NodeId> entities;
-  ServeStats stats;
 };
 
 /// The online half of GPAR mining (Section 5 framing): rules are mined
@@ -94,14 +79,17 @@ struct ServeReply {
 /// a zero-copy `GraphView` slice of the shared parent CSR and receives
 /// serialized `GraphDelta` batches from the router (`ApplyShardDelta`)
 /// instead of applying deltas itself.
-class RuleServer : public ServeSession {
+class RuleServer : public DurableSession {
  public:
   /// Loads a snapshot pair produced by `WriteGraphSnapshot[File]` and
   /// `WriteRuleSetSnapshot[File]`.
   static Result<std::unique_ptr<RuleServer>> Load(
       const std::string& graph_snapshot_path,
       const std::string& rules_snapshot_path,
-      const RuleServerOptions& options = {});
+      const RuleServerOptions& options = {}) {
+    return LoadSession<RuleServer>(graph_snapshot_path, rules_snapshot_path,
+                                   options);
+  }
 
   /// Crash recovery: loads the snapshot pair, then attaches the journal
   /// at `journal_path` — which replays its valid frame prefix (torn tail
@@ -113,7 +101,11 @@ class RuleServer : public ServeSession {
       const std::string& rules_snapshot_path,
       const std::string& journal_path, const RuleServerOptions& options = {},
       const DeltaJournalOptions& journal_options = {},
-      JournalReplayStats* replay = nullptr);
+      JournalReplayStats* replay = nullptr) {
+    return RecoverSession<RuleServer>(graph_snapshot_path,
+                                      rules_snapshot_path, journal_path,
+                                      options, journal_options, replay);
+  }
 
   /// Builds a session from in-memory state (tests, single-process use).
   static Result<std::unique_ptr<RuleServer>> Create(
@@ -149,16 +141,14 @@ class RuleServer : public ServeSession {
   /// take `ApplyShardDelta` from their router.
   Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
 
+  /// Rejected on shard servers — the router journals.
   Status AttachJournal(const std::string& path,
                        const DeltaJournalOptions& options = {},
-                       JournalReplayStats* replay = nullptr) override;
-  Status Checkpoint(const std::string& graph_snapshot_path) override;
+                       JournalReplayStats* replay = nullptr) override
+      GPAR_EXCLUDES(writer_mu_);
 
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  /// The currently served rule set. The reference is valid until the next
-  /// rule refresh (maintenance pass that changed the top-k, or
-  /// `UpdateRules`); callers that race refreshes should copy.
-  const std::vector<RuleRecord>& rules() const override;
+  std::vector<RuleRecord> rules() const override;
   const std::vector<NodeId>& candidates() const override {
     return candidates_;
   }
@@ -188,7 +178,6 @@ class RuleServer : public ServeSession {
   /// router's resync logic compares it against its own delta sequence.
   uint64_t shard_sequence() const GPAR_EXCLUDES(writer_mu_);
 
-  bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
   /// Last sequence the attached journal holds (0 when none is attached).
   uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
 
@@ -207,9 +196,6 @@ class RuleServer : public ServeSession {
   /// maintenance is already enabled.
   Status EnableMaintenance(const MaintainOptions& options)
       GPAR_EXCLUDES(writer_mu_);
-  bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
-  /// Accumulated maintenance-pass stats (zero when maintenance is off).
-  MaintainStats maintain_stats() const GPAR_EXCLUDES(writer_mu_);
 
   /// Replaces the served rule set (router -> shard push after a router-side
   /// maintenance refresh; also usable standalone as a hot rule reload). The
@@ -220,19 +206,6 @@ class RuleServer : public ServeSession {
   /// deletes and the session must keep serving (zero rules match nothing).
   /// Drops the whole match cache: rule indices change meaning.
   Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
-
-  // ---- Deprecated PR 5 surface (thin shims over Query/ApplyDelta) ----
-
-  /// Deprecated: use `Query` with `all_centers = false`.
-  Result<ServeReply> Serve(const ServeRequest& request);
-  /// Deprecated: use `Query` with `all_centers = true`.
-  Result<EipResult> IdentifyAll(double eta, bool require_consequent = false,
-                                ServeStats* request_stats = nullptr);
-  /// Deprecated: use the typed `GraphDelta` overload.
-  Result<DeltaStats> ApplyDelta(std::span<const EdgeInsert> inserts);
-  /// Deprecated: use `graph_snapshot()`. The reference is only guaranteed
-  /// valid until the next `ApplyDelta`.
-  const Graph& graph() const { return *graph_snapshot(); }
 
   // ---- Introspection ----
 
@@ -334,6 +307,10 @@ class RuleServer : public ServeSession {
   /// disk.
   Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta, bool journal)
       GPAR_REQUIRES(writer_mu_);
+  Status ReplayLocked(const GraphDelta& frame) override
+      GPAR_REQUIRES(writer_mu_);
+  Status UpdateRulesLocked(std::vector<RuleRecord> rules)
+      GPAR_REQUIRES(writer_mu_);
   /// Derives the per-rule state (sigma storage, other-component flag) for a
   /// record set. Validation (non-empty sets keep q and respect the radius
   /// bound) happens in the callers — see UpdateRules.
@@ -399,17 +376,10 @@ class RuleServer : public ServeSession {
   /// under the cache-shard lock), so a reader that outlived a delta can
   /// never resurrect stale memberships after the invalidation walk.
   std::atomic<uint64_t> epoch_{0};
-  mutable Mutex writer_mu_;  ///< serializes ApplyDelta / ApplyShardDelta
-  /// Attach-journal mode (non-shard servers): applied mutations are
-  /// appended here before they are published.
-  std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   /// Shard mode: sequence of the last applied batch. Retried ships of an
   /// already-applied frame are recognized here and become no-ops, so a
   /// router retry can never double-apply a delta.
   uint64_t shard_sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
-  /// Maintain-on-ApplyDelta mode (non-shard): passes run under the writer
-  /// lock, between patching the graph and publishing the new generation.
-  std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
 
   uint32_t num_cache_shards_ = 1;
   std::unique_ptr<CacheShard[]> cache_shards_;

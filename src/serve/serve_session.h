@@ -15,10 +15,9 @@
 
 namespace gpar {
 
-/// The one request shape the serving tier answers — it subsumes the PR 5
-/// `Serve` (point lookups) and `IdentifyAll` (full Σ(x, G, η)) entry
-/// points so routers, tools, benches, and the equivalence batteries are
-/// written once against `ServeSession`.
+/// The one request shape the serving tier answers — point lookups and the
+/// full Σ(x, G, η) answer alike — so routers, tools, benches, and the
+/// equivalence batteries are written once against `ServeSession`.
 struct SessionRequest {
   /// True: classify every candidate center (all nodes with x's label) and
   /// fill the support/confidence fields of the reply, honoring `eta` — the
@@ -145,7 +144,10 @@ class ServeSession {
   /// version alive across subsequent deltas.
   virtual std::shared_ptr<const Graph> graph_snapshot() const = 0;
 
-  virtual const std::vector<RuleRecord>& rules() const = 0;
+  /// The currently served rule set, by value: a maintenance refresh or
+  /// `UpdateRules` may free the published set at any time, so no reference
+  /// into it is handed out.
+  virtual std::vector<RuleRecord> rules() const = 0;
   /// All candidate centers (nodes satisfying x's label), sorted.
   virtual const std::vector<NodeId>& candidates() const = 0;
   /// Interns an edge-label name through the session's dictionary — for

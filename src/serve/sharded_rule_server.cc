@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "graph/graph_snapshot.h"
 #include "graph/partition.h"
 #include "identify/eip.h"
 #include "rule/metrics.h"
+#include "serve/durability.h"
 
 namespace gpar {
 
@@ -34,32 +34,6 @@ bool IsTransient(const Status& st) {
 
 ShardedRuleServer::ShardedRuleServer(const ShardedRuleServerOptions& options)
     : options_(options) {}
-
-Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Load(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path,
-    const ShardedRuleServerOptions& options) {
-  GPAR_FAILPOINT("snapshot.load");
-  auto g = ReadGraphSnapshotFile(graph_snapshot_path);
-  if (!g.ok()) return g.status();
-  auto rules =
-      ReadRuleSetSnapshotFile(rules_snapshot_path, g->mutable_labels());
-  if (!rules.ok()) return rules.status();
-  return Create(std::move(g).value(), std::move(rules).value(), options);
-}
-
-Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Recover(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const std::string& journal_path,
-    const ShardedRuleServerOptions& options,
-    const DeltaJournalOptions& journal_options, JournalReplayStats* replay) {
-  GPAR_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardedRuleServer> server,
-      Load(graph_snapshot_path, rules_snapshot_path, options));
-  GPAR_RETURN_NOT_OK(
-      server->AttachJournal(journal_path, journal_options, replay));
-  return server;
-}
 
 Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
     Graph g, std::vector<RuleRecord> rules,
@@ -118,13 +92,8 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
   return server;
 }
 
-const std::vector<RuleRecord>& ShardedRuleServer::rules() const {
-  MutexLock lock(graph_mu_);
-  // The pointee is immutable and stays alive through the shared_ptr even
-  // after a refresh replaces `records_`... as long as the caller read it
-  // before the old set's last owner (this object) let go — hence the
-  // "valid until the next refresh" contract in the header.
-  return *records_;
+std::vector<RuleRecord> ShardedRuleServer::rules() const {
+  return *AcquireRecords();
 }
 
 std::shared_ptr<const std::vector<RuleRecord>>
@@ -151,11 +120,6 @@ size_t ShardedRuleServer::lagging_shards() const {
     if (acked != delta_sequence_) ++lagging;
   }
   return lagging;
-}
-
-bool ShardedRuleServer::journal_attached() const {
-  MutexLock writer(writer_mu_);
-  return journal_ != nullptr;
 }
 
 std::shared_ptr<const Graph> ShardedRuleServer::graph_snapshot() const {
@@ -480,15 +444,8 @@ Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
   }
   Timer timer;
   DeltaStats ds;
-  // Replayed journal frames carry their own label dictionary (v3 wire);
-  // re-intern before patching so a frame minted after the snapshot was
-  // written still resolves. Live deltas have no defs — this is free.
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, interner_.get()));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*cur, delta));
-  ds.edges_inserted = patch.edges_inserted;
-  ds.duplicates_ignored = patch.duplicates;
-  ds.edges_deleted = patch.edges_deleted;
-  ds.deletes_missing = patch.missing;
+  GPAR_ASSIGN_OR_RETURN(GraphPatch patch,
+                        PatchForSession(*cur, delta, interner_.get(), &ds));
   if (patch.applied.empty() && patch.applied_deletes.empty()) {
     if (replay_sequence != 0) {
       // Replayed no-op (the checkpoint floor marker): nothing to ship,
@@ -510,23 +467,18 @@ Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
   // graph snapshots. Batches with deletes go out as v2 frames; pure-insert
   // batches keep the v1 framing.
   auto next = std::make_shared<const Graph>(std::move(patch.graph));
-  GraphDelta wire;
-  wire.inserts = std::move(patch.applied);
-  wire.deletes = std::move(patch.applied_deletes);
-  // Frames name the labels they reference, so journal replay against an
-  // older snapshot re-interns live-minted labels instead of failing.
-  CollectLabelDefs(*interner_, &wire);
-  {
+  uint64_t sequence = replay_sequence;
+  if (sequence == 0) {
     MutexLock lock(graph_mu_);
-    wire.sequence =
-        replay_sequence != 0 ? replay_sequence : delta_sequence_ + 1;
+    sequence = delta_sequence_ + 1;
   }
-  if (journal && journal_ != nullptr) {
+  GraphDelta wire =
+      AppliedFrame(sequence, std::move(patch.applied),
+                   std::move(patch.applied_deletes), *interner_);
+  if (journal) {
     // Append-before-ship: on an append failure nothing has advanced and
     // nothing was shipped, so the deployment is exactly as before.
-    const uint64_t bytes_before = journal_->size_bytes();
-    GPAR_RETURN_NOT_OK(journal_->Append(wire));
-    ds.journal_bytes = journal_->size_bytes() - bytes_before;
+    GPAR_RETURN_NOT_OK(AppendLocked(wire, &ds));
   }
   // The crash window recovery must close: the frame is journaled but not
   // yet shipped or published. Replay applies it.
@@ -638,7 +590,11 @@ Status ShardedRuleServer::MaintainAfterShip(
       maintainer_->Advance(old_graph, std::move(new_graph), wire.inserts,
                            wire.deletes));
   (void)ms;  // folded into maintain_stats()
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
+  return PublishRules(maintainer_->TopKRecords(), ds);
+}
+
+Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> refreshed,
+                                       DeltaStats* ds) {
   {
     MutexLock lock(graph_mu_);
     if (refreshed == *records_) return Status::OK();
@@ -664,9 +620,6 @@ Status ShardedRuleServer::MaintainAfterShip(
 
 Status ShardedRuleServer::EnableMaintenance(const MaintainOptions& options) {
   MutexLock writer(writer_mu_);
-  if (maintainer_ != nullptr) {
-    return Status::InvalidArgument("maintenance is already enabled");
-  }
   if (std::max<uint32_t>(options.mine.d, 1) > partition_d_) {
     return Status::InvalidArgument(
         "maintained rule radius " + std::to_string(options.mine.d) +
@@ -679,36 +632,9 @@ Status ShardedRuleServer::EnableMaintenance(const MaintainOptions& options) {
     MutexLock lock(graph_mu_);
     g = graph_;
   }
-  GPAR_ASSIGN_OR_RETURN(maintainer_,
-                        RuleMaintainer::Seed(std::move(g), q_, options));
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
-  {
-    MutexLock lock(graph_mu_);
-    if (refreshed == *records_) return Status::OK();
-  }
-  auto shared =
-      std::make_shared<const std::vector<RuleRecord>>(std::move(refreshed));
-  {
-    MutexLock lock(graph_mu_);
-    records_ = shared;
-  }
-  Status first_failure = Status::OK();
-  for (auto& shard : shards_) {
-    Status st = shard->UpdateRules(*shared);
-    if (!st.ok() && first_failure.ok()) first_failure = std::move(st);
-  }
-  return first_failure;
-}
-
-bool ShardedRuleServer::maintenance_enabled() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr;
-}
-
-MaintainStats ShardedRuleServer::maintain_stats() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr ? maintainer_->lifetime_stats()
-                                : MaintainStats{};
+  GPAR_RETURN_NOT_OK(SeedMaintainerLocked(std::move(g), q_, options));
+  DeltaStats ds;
+  return PublishRules(maintainer_->TopKRecords(), &ds);
 }
 
 Status ShardedRuleServer::ResyncLaggingShards() {
@@ -798,41 +724,8 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
   return first_failure;
 }
 
-Status ShardedRuleServer::AttachJournal(const std::string& path,
-                                        const DeltaJournalOptions& options,
-                                        JournalReplayStats* replay) {
-  MutexLock writer(writer_mu_);
-  if (journal_ != nullptr) {
-    return Status::InvalidArgument("a journal is already attached");
-  }
-  JournalReplayStats stats;
-  GPAR_ASSIGN_OR_RETURN(std::vector<GraphDelta> frames,
-                        DeltaJournal::ReadAll(path, &stats));
-  for (const GraphDelta& frame : frames) {
-    // Replay through the normal ship path, pinned to the journaled
-    // sequence (not re-journaled — these frames ARE the journal).
-    auto applied = ApplyDeltaLocked(frame, /*journal=*/false, frame.sequence);
-    if (!applied.ok()) return applied.status();
-  }
-  GPAR_ASSIGN_OR_RETURN(journal_, DeltaJournal::Open(path, options));
-  if (replay != nullptr) *replay = stats;
-  return Status::OK();
-}
-
-Status ShardedRuleServer::Checkpoint(const std::string& graph_snapshot_path) {
-  MutexLock writer(writer_mu_);
-  if (journal_ == nullptr) {
-    return Status::InvalidArgument("checkpoint requires an attached journal");
-  }
-  std::shared_ptr<const Graph> g;
-  {
-    MutexLock lock(graph_mu_);
-    g = graph_;
-  }
-  GPAR_RETURN_NOT_OK(WriteGraphSnapshotFile(*g, graph_snapshot_path));
-  // The snapshot now carries every journaled frame's effects; compaction
-  // keeps only the sequence floor.
-  return journal_->Compact();
+Status ShardedRuleServer::ReplayLocked(const GraphDelta& frame) {
+  return ApplyDeltaLocked(frame, /*journal=*/false, frame.sequence).status();
 }
 
 }  // namespace gpar

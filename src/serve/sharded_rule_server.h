@@ -18,6 +18,7 @@
 #include "graph/graph_delta.h"
 #include "parallel/thread_pool.h"
 #include "rule/rule_snapshot.h"
+#include "serve/durability.h"
 #include "serve/rule_server.h"
 #include "serve/serve_session.h"
 
@@ -73,13 +74,16 @@ struct ShardedRuleServerOptions {
 /// delta may observe it on some shards and not others (per-shard snapshot
 /// consistency; the delta becomes globally visible when `ApplyDelta`
 /// returns).
-class ShardedRuleServer : public ServeSession {
+class ShardedRuleServer : public DurableSession {
  public:
   /// Loads a snapshot pair (see `RuleServer::Load`) and partitions it.
   static Result<std::unique_ptr<ShardedRuleServer>> Load(
       const std::string& graph_snapshot_path,
       const std::string& rules_snapshot_path,
-      const ShardedRuleServerOptions& options = {});
+      const ShardedRuleServerOptions& options = {}) {
+    return LoadSession<ShardedRuleServer>(graph_snapshot_path,
+                                          rules_snapshot_path, options);
+  }
 
   static Result<std::unique_ptr<ShardedRuleServer>> Create(
       Graph g, std::vector<RuleRecord> rules,
@@ -95,7 +99,11 @@ class ShardedRuleServer : public ServeSession {
       const std::string& journal_path,
       const ShardedRuleServerOptions& options = {},
       const DeltaJournalOptions& journal_options = {},
-      JournalReplayStats* replay = nullptr);
+      JournalReplayStats* replay = nullptr) {
+    return RecoverSession<ShardedRuleServer>(
+        graph_snapshot_path, rules_snapshot_path, journal_path, options,
+        journal_options, replay);
+  }
 
   ShardedRuleServer(const ShardedRuleServer&) = delete;
   ShardedRuleServer& operator=(const ShardedRuleServer&) = delete;
@@ -104,17 +112,8 @@ class ShardedRuleServer : public ServeSession {
 
   Result<SessionReply> Query(const SessionRequest& request) override;
   Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
-  Status AttachJournal(const std::string& path,
-                       const DeltaJournalOptions& options = {},
-                       JournalReplayStats* replay = nullptr) override;
-  Status Checkpoint(const std::string& graph_snapshot_path) override;
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  /// The currently served rule set. The reference stays valid until the
-  /// next maintenance refresh publishes a different set; callers racing
-  /// refreshes should copy (or hold `AcquireRecords`-style snapshots —
-  /// queries do internally).
-  const std::vector<RuleRecord>& rules() const override
-      GPAR_EXCLUDES(graph_mu_);
+  std::vector<RuleRecord> rules() const override GPAR_EXCLUDES(graph_mu_);
   const std::vector<NodeId>& candidates() const override {
     return candidates_;
   }
@@ -138,7 +137,6 @@ class ShardedRuleServer : public ServeSession {
   /// Shards currently behind `delta_sequence()` (they answer no queries —
   /// the router degrades around them — until a resync catches them up).
   size_t lagging_shards() const GPAR_EXCLUDES(graph_mu_);
-  bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
 
   /// Replays the frames a lagging shard missed — from the attached
   /// journal when possible, else from the in-memory pending tail — merged
@@ -164,9 +162,6 @@ class ShardedRuleServer : public ServeSession {
   /// shards, like deltas (per-shard snapshot consistency).
   Status EnableMaintenance(const MaintainOptions& options)
       GPAR_EXCLUDES(writer_mu_);
-  bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
-  /// Accumulated maintenance-pass stats (zero when maintenance is off).
-  MaintainStats maintain_stats() const GPAR_EXCLUDES(writer_mu_);
 
  private:
   explicit ShardedRuleServer(const ShardedRuleServerOptions& options);
@@ -180,6 +175,9 @@ class ShardedRuleServer : public ServeSession {
   /// journaled frame's instead of stamping the next one.
   Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta, bool journal,
                                       uint64_t replay_sequence)
+      GPAR_REQUIRES(writer_mu_);
+  /// Replays through the normal ship path, pinned to the frame's sequence.
+  Status ReplayLocked(const GraphDelta& frame) override
       GPAR_REQUIRES(writer_mu_);
   Status ResyncLaggingShardsLocked() GPAR_REQUIRES(writer_mu_);
   /// Runs `call` under the retry policy: transient failures back off
@@ -201,6 +199,11 @@ class ShardedRuleServer : public ServeSession {
   Status MaintainAfterShip(const Graph& old_graph,
                            std::shared_ptr<const Graph> new_graph,
                            const GraphDelta& wire, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_);
+  /// When `refreshed` differs from the served set: publishes it router-side
+  /// (setting `ds->rules_refreshed`), then pushes it to every shard.
+  /// Returns the first push failure; a failed shard keeps its previous set.
+  Status PublishRules(std::vector<RuleRecord> refreshed, DeltaStats* ds)
       GPAR_REQUIRES(writer_mu_);
 
   ShardedRuleServerOptions options_;
@@ -224,15 +227,10 @@ class ShardedRuleServer : public ServeSession {
 
   mutable Mutex graph_mu_;
   std::shared_ptr<const Graph> graph_ GPAR_GUARDED_BY(graph_mu_);
-  /// Serializes ApplyDelta / AttachJournal / Checkpoint / resync.
-  mutable Mutex writer_mu_;
   uint64_t delta_sequence_ GPAR_GUARDED_BY(graph_mu_) = 0;
   /// Per-shard last acknowledged batch sequence. A shard is healthy iff
   /// its entry equals `delta_sequence_`; queries route around the rest.
   std::vector<uint64_t> shard_acked_ GPAR_GUARDED_BY(graph_mu_);
-  /// Attach-journal mode: batches are appended here (applied mutations,
-  /// stamped sequence) BEFORE being shipped to any shard.
-  std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   /// Recent shipped batches kept in memory for journal-free resync (and
   /// for frames a compaction already dropped from the journal). Pruned
   /// once every shard has acked; capped — a shard that lags past the cap
@@ -242,9 +240,6 @@ class ShardedRuleServer : public ServeSession {
     GraphDelta delta;
   };
   std::deque<PendingFrame> pending_ GPAR_GUARDED_BY(writer_mu_);
-  /// Maintain-on-ApplyDelta mode: router-level maintainer on the parent
-  /// graph; passes run under the writer lock, after the ship.
-  std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
 
   /// Lifetime counters are lock-free (relaxed atomics; latency in
   /// microseconds): the router adds one entry per request, and a shared

@@ -362,7 +362,7 @@ CandidateProposal MakeProposal(size_t parent, uint32_t ordinal,
 TEST(DmineTest, MergeProposalsCollapsesCrossFragmentDuplicates) {
   // Two fragments where the same parent survives propose its extension set
   // independently; the coordinator must keep one copy per (parent, ordinal),
-  // sum the support evidence, and emit the stream in centralized order
+  // sum the support evidence, and emit the stream in sequential order
   // (parent ascending, then generation ordinal) regardless of which worker
   // proposed what.
   PaperG1 g1 = MakePaperG1();
@@ -510,21 +510,6 @@ TEST(DmineTest, WorkerGenProposalStatsAreConsistent) {
   EXPECT_EQ(result->stats.cross_fragment_merged, 0u);
   EXPECT_EQ(raw, result->stats.candidates_generated +
                      result->stats.cross_fragment_merged);
-
-  // The centralized path generates the identical unique stream and reports
-  // no proposal traffic.
-  DmineOptions central = opt;
-  central.enable_worker_gen = false;
-  auto central_run = Dmine(g, q, central);
-  ASSERT_TRUE(central_run.ok());
-  EXPECT_TRUE(central_run->stats.proposals_per_worker.empty());
-  EXPECT_EQ(central_run->stats.cross_fragment_merged, 0u);
-  EXPECT_EQ(central_run->stats.candidates_generated,
-            result->stats.candidates_generated);
-  EXPECT_EQ(central_run->stats.candidates_verified,
-            result->stats.candidates_verified);
-  EXPECT_EQ(central_run->stats.automorphic_merged,
-            result->stats.automorphic_merged);
 }
 
 TEST(DmineTest, WorksOnSyntheticGraph) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,8 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   setup.max_pattern_edges = 5;
   setup.seed_edge_limit = 12;
   setup.max_candidates_per_round = 99;
-  // bits 0..7 in DmineOptions declaration order; set an asymmetric pattern.
+  // bits 0..3 in DmineOptions declaration order; set an asymmetric pattern.
+  // Bit 6 is retired (ignored on read).
   setup.bool_flags = (1u << 0) | (1u << 3) | (1u << 6);
 
   MaintainOptions base;
@@ -104,10 +106,6 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   EXPECT_FALSE(o->mine.enable_reduction_rules);
   EXPECT_FALSE(o->mine.enable_bisim_prefilter);
   EXPECT_TRUE(o->mine.enable_parent_prune);
-  EXPECT_FALSE(o->mine.enable_worker_gen);
-  EXPECT_FALSE(o->mine.use_fragment_copies);
-  EXPECT_TRUE(o->mine.enable_shared_plans);
-  EXPECT_FALSE(o->mine.enable_prune_aware_usupp);
   // Non-setup knobs come from `base`, untouched.
   EXPECT_FALSE(o->enable_incremental_maintenance);
   EXPECT_EQ(o->mine.num_workers, 9u);
@@ -122,6 +120,21 @@ TEST(MaintainOptionsFromSetupTest, RejectsUnknownFlagBits) {
   EXPECT_NE(o.status().message().find("unknown ablation flag"),
             std::string::npos)
       << o.status();
+
+  // Bit 7 is the removed prune-aware Usupp heuristic, which could change
+  // results: evidence mined under it is not maintainable.
+  setup.bool_flags = kPruneAwareUsuppFlag;
+  o = MaintainOptionsFromSetup(setup, {});
+  ASSERT_FALSE(o.ok());
+  EXPECT_EQ(o.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(o.status().message().find("prune-aware Usupp"), std::string::npos)
+      << o.status();
+
+  // The retired result-neutral bits 4-6 are accepted in any pattern.
+  for (uint32_t bits : {0u, 1u << 4, 1u << 5, 0x70u}) {
+    setup.bool_flags = bits;
+    EXPECT_TRUE(MaintainOptionsFromSetup(setup, {}).ok()) << bits;
+  }
 }
 
 TEST(MaintainCommandTest, MalformedRequestsNameTheMissingPiece) {
@@ -311,6 +324,51 @@ TEST(MaintainCommandTest, TornTailIsStrictErrorOrWarning) {
   std::remove(f.rpath.c_str());
   std::remove(wal.c_str());
   std::remove(out.c_str());
+}
+
+/// The rule-snapshot-v2 compatibility contract: a snapshot pair written by
+/// the build that still had the retired ablation switches (evidence flag
+/// bits 4 and 6 set — see tests/data/v2_fixture/README.md) restores, its
+/// records equal a from-scratch Dmine under the persisted setup, and
+/// re-writing it with today's writer reproduces the file byte for byte.
+TEST(MaintainCommandTest, RestoresV2FixtureWrittenWithRetiredFlags) {
+  const std::string dir = std::string(GPAR_TEST_DATA_DIR) + "/v2_fixture";
+  auto g = ReadGraphSnapshotFile(dir + "/graph.snap");
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto snap =
+      ReadRuleSetSnapshotAnyFile(dir + "/rules.snap", g->mutable_labels());
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_TRUE(snap->has_evidence);
+  const MiningSetup& setup = snap->evidence.setup;
+  EXPECT_EQ(setup.bool_flags, 0x0fu | kRetiredSetupFlagsWritten);
+
+  auto options = MaintainOptionsFromSetup(setup, {});
+  ASSERT_TRUE(options.ok()) << options.status();
+  const Predicate q{g->labels().Lookup(setup.x_label),
+                    g->labels().Lookup(setup.edge_label),
+                    g->labels().Lookup(setup.y_label)};
+  auto mined = Dmine(*g, q, options->mine);
+  ASSERT_TRUE(mined.ok()) << mined.status();
+  std::vector<RuleRecord> want;
+  for (const auto& r : mined->topk) want.push_back({r->rule, r->supp, r->conf});
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(snap->rules, want);
+
+  // Restore through the maintain tool path, rewriting to a scratch file.
+  MaintainRequest req;
+  req.graph_snapshot = dir + "/graph.snap";
+  req.rules_snapshot = dir + "/rules.snap";
+  req.out = ::testing::TempDir() + "/gpar_v2_fixture_rewrite.snap";
+  auto report = RunMaintain(req);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->seeded);
+  EXPECT_EQ(report->rules_out, want.size());
+  auto slurp = [](const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  EXPECT_EQ(slurp(req.out), slurp(req.rules_snapshot));
+  std::remove(req.out.c_str());
 }
 
 }  // namespace

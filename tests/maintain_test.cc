@@ -128,14 +128,21 @@ TEST(MaintainTest, SeedMatchesDmine) {
   EXPECT_EQ((*m)->last_sequence(), 0u);
 }
 
+// Evidence mined under the removed prune-aware Usupp heuristic (setup flag
+// bit 7) could hold results a plain Dmine would not: restoring it must fail
+// rather than maintain rules no current build can reproduce.
 TEST(MaintainTest, RejectsPruneAwareUsupp) {
   auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
   Predicate q = PickQ(*g);
-  MaintainOptions opt = SmallMaintain();
-  opt.mine.enable_prune_aware_usupp = true;
-  auto m = RuleMaintainer::Seed(g, q, opt);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
+  ASSERT_TRUE(m.ok()) << m.status();
+  RuleSetEvidence evidence = (*m)->ExportEvidence();
+  EXPECT_EQ(evidence.setup.bool_flags & kPruneAwareUsuppFlag, 0u);
+  evidence.setup.bool_flags |= kPruneAwareUsuppFlag;
+  auto restored =
+      RuleMaintainer::FromEvidence(g, std::move(evidence), SmallMaintain());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The headline battery: six seeded workloads, each driven through an
@@ -476,7 +483,9 @@ TEST(MaintainServeTest, RuleServerMaintainsOnApplyDelta) {
     EXPECT_EQ((*server)->rules(), want) << "batch " << b;
   }
   // The maintained server must still answer queries on the final rule set.
-  auto answer = (*server)->IdentifyAll(1.0);
+  SessionRequest all;
+  all.all_centers = true;
+  auto answer = (*server)->Query(all);
   ASSERT_TRUE(answer.ok()) << answer.status();
 }
 
@@ -506,7 +515,9 @@ TEST(MaintainServeTest, UpdateRulesRejectsAForeignPredicate) {
   // server keeps serving with zero rules rather than failing the refresh.
   EXPECT_TRUE((*server)->UpdateRules({}).ok());
   EXPECT_TRUE((*server)->rules().empty());
-  auto answer = (*server)->IdentifyAll(1.0);
+  SessionRequest all;
+  all.all_centers = true;
+  auto answer = (*server)->Query(all);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_TRUE(answer->rule_evals.empty());
 }
@@ -613,7 +624,78 @@ TEST(MaintainServeTest, ConcurrentMaintainAndQuery) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ(s.rules(), DmineRecords(s.graph(), q, mopt.mine));
+  EXPECT_EQ(s.rules(), DmineRecords(*s.graph_snapshot(), q, mopt.mine));
+}
+
+// `rules()` hands out a copy: a rule refresh frees the published set, so a
+// caller holding the result across `UpdateRules` must still read the set
+// it asked for (a reference into the live state would dangle here).
+TEST(MaintainServeTest, RulesOutliveUpdateRules) {
+  Graph g = MakeSynthetic(300, 900, 10, 51);
+  Predicate q = PickQ(g);
+  std::vector<RuleRecord> records = DmineRecords(g, q, SmallMaintain().mine);
+  ASSERT_GE(records.size(), 2u);
+  auto server = RuleServer::Create(g, records);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  const auto& r = (*server)->rules();
+  std::vector<RuleRecord> other(records.begin(), records.begin() + 1);
+  ASSERT_TRUE((*server)->UpdateRules(other).ok());
+  EXPECT_EQ(r, records);
+  EXPECT_EQ((*server)->rules(), other);
+}
+
+// Readers hold `rules()` results while a maintaining writer keeps
+// replacing the served set (maintenance refreshes, plus `UpdateRules`
+// between batches so every step publishes a new set). Run under TSan by the
+// CI regex; every set a reader sees must be whole and keep q(x, y).
+TEST(MaintainServeTest, ConcurrentRulesReadersVsMaintainingWriter) {
+  Graph g = MakeSynthetic(300, 900, 10, 51);
+  Predicate q = PickQ(g);
+  MaintainOptions mopt = SmallMaintain();
+  std::vector<RuleRecord> records = DmineRecords(g, q, mopt.mine);
+  ASSERT_GE(records.size(), 2u);
+  RuleServerOptions sopt;
+  sopt.num_workers = 2;
+  auto server = RuleServer::Create(g, records, sopt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->EnableMaintenance(mopt).ok());
+  RuleServer& s = **server;
+  const std::vector<RuleRecord> head(records.begin(), records.begin() + 1);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    Graph current = g;
+    for (size_t b = 0; b < 3; ++b) {
+      if (!s.UpdateRules(head).ok()) ++failures;
+      GraphDelta d = MakeChurn(current, q.edge_label, 110 + b, 15);
+      d.sequence = b + 1;
+      auto ref = PatchGraph(current, d);
+      if (!ref.ok()) {
+        ++failures;
+        break;
+      }
+      current = std::move(ref)->graph;
+      if (!s.ApplyDelta(d).ok()) ++failures;
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto& rules = s.rules();
+        for (const RuleRecord& rec : rules) {
+          if (!(rec.rule.predicate() == q)) ++failures;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(s.rules(), DmineRecords(*s.graph_snapshot(), q, mopt.mine));
 }
 
 }  // namespace

@@ -292,7 +292,7 @@ TEST_P(SeededProperty, PartitionInvariants) {
     for (const Fragment& f : parts->fragments) {
       for (NodeId global : f.centers) {
         for (NodeId w : NodesWithinRadius(s.graph, global, opt.d)) {
-          EXPECT_TRUE(f.ContainsGlobal(w));
+          EXPECT_TRUE(f.view.contains(w));
         }
         break;  // one center per fragment suffices
       }
@@ -364,167 +364,6 @@ std::string ResultFingerprint(const DmineResult& r) {
   return os.str();
 }
 
-TEST_P(SeededProperty, WorkerGenEquivalence) {
-  // Decentralized candidate generation is a relocation of work, not an
-  // approximation: across worker counts, the worker-proposed path and the
-  // centralized path must produce identical candidate pools (by structural
-  // hash), supports, confidences, and diversified top-k — the mirror of
-  // ParentPruneEquivalence for PR 2's lineage pruning.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
-  for (uint32_t n : {1u, 2u, 4u, 8u}) {
-    opt.num_workers = n;
-    opt.enable_worker_gen = true;
-    auto decentralized = Dmine(s.graph, s.q, opt);
-    opt.enable_worker_gen = false;
-    auto centralized = Dmine(s.graph, s.q, opt);
-    ASSERT_TRUE(decentralized.ok()) << decentralized.status();
-    ASSERT_TRUE(centralized.ok()) << centralized.status();
-
-    EXPECT_EQ(ResultFingerprint(*decentralized),
-              ResultFingerprint(*centralized))
-        << "worker-gen result diverged at seed " << GetParam() << " n=" << n;
-    // The evaluation half is untouched by where generation runs: the two
-    // paths issue the exact same worker probes.
-    EXPECT_EQ(decentralized->stats.exists_calls,
-              centralized->stats.exists_calls);
-    EXPECT_EQ(decentralized->stats.centers_skipped_by_parent,
-              centralized->stats.centers_skipped_by_parent);
-    // Proposal bookkeeping balances: raw = unique + merged duplicates.
-    uint64_t raw = 0;
-    for (uint64_t p : decentralized->stats.proposals_per_worker) raw += p;
-    EXPECT_EQ(raw, decentralized->stats.candidates_generated +
-                       decentralized->stats.cross_fragment_merged);
-  }
-}
-
-TEST_P(SeededProperty, WorkerGenEquivalenceComposesWithParentPruneOff) {
-  // The two ablation axes are independent: without parent lineage the
-  // ownership predicate degrades from "fragments where the parent
-  // survives" to "fragments with a non-empty q-pool" (still one
-  // deterministic owner per parent) — results still match the centralized
-  // no-prune run.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.num_workers = 4;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-  opt.enable_parent_prune = false;
-
-  opt.enable_worker_gen = true;
-  auto decentralized = Dmine(s.graph, s.q, opt);
-  opt.enable_worker_gen = false;
-  auto centralized = Dmine(s.graph, s.q, opt);
-  ASSERT_TRUE(decentralized.ok());
-  ASSERT_TRUE(centralized.ok());
-  EXPECT_EQ(ResultFingerprint(*decentralized), ResultFingerprint(*centralized))
-      << "no-prune worker-gen diverged at seed " << GetParam();
-}
-
-TEST_P(SeededProperty, ViewCopyEquivalence) {
-  // Zero-copy fragment views are a representation change, not a semantic
-  // one: view-backed and copy-backed DMine must produce byte-identical
-  // results — candidate pools, supports, confidences, match sets, and the
-  // diversified top-k — at every worker count, and the evaluation halves
-  // must issue the exact same probes.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
-  for (uint32_t n : {1u, 2u, 4u, 8u}) {
-    opt.num_workers = n;
-    opt.use_fragment_copies = false;
-    auto viewed = Dmine(s.graph, s.q, opt);
-    opt.use_fragment_copies = true;
-    auto copied = Dmine(s.graph, s.q, opt);
-    ASSERT_TRUE(viewed.ok()) << viewed.status();
-    ASSERT_TRUE(copied.ok()) << copied.status();
-
-    EXPECT_EQ(ResultFingerprint(*viewed), ResultFingerprint(*copied))
-        << "view/copy result diverged at seed " << GetParam() << " n=" << n;
-    EXPECT_EQ(viewed->stats.exists_calls, copied->stats.exists_calls);
-    EXPECT_EQ(viewed->stats.centers_skipped_by_parent,
-              copied->stats.centers_skipped_by_parent);
-  }
-}
-
-TEST_P(SeededProperty, SharedPlanStoreEquivalence) {
-  // The shared plan store relocates planning work, never results: store-on
-  // and store-off runs must be fingerprint-identical, and on a multi-worker
-  // run the store must actually serve worker probes.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.num_workers = 4;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
-  opt.enable_shared_plans = true;
-  auto shared = Dmine(s.graph, s.q, opt);
-  opt.enable_shared_plans = false;
-  auto private_plans = Dmine(s.graph, s.q, opt);
-  ASSERT_TRUE(shared.ok()) << shared.status();
-  ASSERT_TRUE(private_plans.ok()) << private_plans.status();
-
-  EXPECT_EQ(ResultFingerprint(*shared), ResultFingerprint(*private_plans))
-      << "plan-store result diverged at seed " << GetParam();
-  EXPECT_GT(shared->stats.plans_shared_hits, 0u);
-  EXPECT_GT(shared->stats.plans_prepared, 0u);
-  EXPECT_EQ(private_plans->stats.plans_shared_hits, 0u);
-  EXPECT_EQ(private_plans->stats.plans_prepared, 0u);
-}
-
-TEST_P(SeededProperty, PruneAwareUsuppEquivalence) {
-  // The flagged Lemma-3 tightening (Usupp counts only matched centers with
-  // hops available) must never change the reduced output: identical top-k,
-  // supports, confidences, and objective with the flag on and off.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.num_workers = 3;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
-  opt.enable_prune_aware_usupp = false;
-  auto loose = Dmine(s.graph, s.q, opt);
-  opt.enable_prune_aware_usupp = true;
-  auto tight = Dmine(s.graph, s.q, opt);
-  ASSERT_TRUE(loose.ok()) << loose.status();
-  ASSERT_TRUE(tight.ok()) << tight.status();
-
-  EXPECT_NEAR(loose->objective, tight->objective, 1e-12);
-  ASSERT_EQ(loose->topk.size(), tight->topk.size());
-  for (size_t i = 0; i < loose->topk.size(); ++i) {
-    const auto& a = loose->topk[i];
-    const auto& b = tight->topk[i];
-    EXPECT_EQ(StructuralHash(a->rule.pr()), StructuralHash(b->rule.pr()))
-        << "top-k rule " << i << " diverged at seed " << GetParam();
-    EXPECT_EQ(a->supp, b->supp);
-    EXPECT_EQ(a->supp_qqbar, b->supp_qqbar);
-    EXPECT_DOUBLE_EQ(a->conf, b->conf);
-    EXPECT_EQ(a->matches, b->matches);
-    // The tightened per-rule bound never exceeds the loose one.
-    EXPECT_LE(b->usupp, a->usupp);
-  }
-}
-
 class WorkerCountProperty : public ::testing::TestWithParam<uint32_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCountProperty,
@@ -557,10 +396,11 @@ TEST_P(WorkerCountProperty, DmineAcceptedPoolInvariant) {
 
 TEST(WorkerGenDeterminism, ResultsInvariantToWorkersSchedulingAndPath) {
   // Full determinism, top-k order included: DMine's result must not depend
-  // on the worker count, on thread scheduling (repeat runs race workers
-  // differently), or on which side generates candidates. Run under ASan as
-  // part of the sanitizer suite, the repeat-run check doubles as a data-race
-  // stability probe on the proposal gather.
+  // on the worker count (which fragment owns and proposes each parent's
+  // extensions) or on thread scheduling (repeat runs race workers
+  // differently). Run under ASan as part of the sanitizer suite, the
+  // repeat-run check doubles as a data-race stability probe on the
+  // proposal gather.
   Graph g = MakeSynthetic(600, 1800, 25, 11);
   auto freq = FrequentEdgePatterns(g, 1);
   Predicate q{freq[0].src_label, freq[0].edge_label, freq[0].dst_label};
@@ -572,30 +412,26 @@ TEST(WorkerGenDeterminism, ResultsInvariantToWorkersSchedulingAndPath) {
   opt.seed_edge_limit = 6;
 
   std::string reference;
-  for (bool worker_gen : {true, false}) {
-    opt.enable_worker_gen = worker_gen;
-    for (uint32_t n : {1u, 2u, 4u, 8u}) {
-      opt.num_workers = n;
-      auto result = Dmine(g, q, opt);
-      ASSERT_TRUE(result.ok()) << result.status();
-      std::string fp = ResultFingerprint(*result);
-      if (reference.empty()) {
-        reference = fp;
-        EXPECT_FALSE(result->topk.empty());
-      } else {
-        EXPECT_EQ(fp, reference)
-            << "divergence at n=" << n << " worker_gen=" << worker_gen;
-      }
+  for (uint32_t n : {1u, 2u, 4u, 8u}) {
+    opt.num_workers = n;
+    auto result = Dmine(g, q, opt);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::string fp = ResultFingerprint(*result);
+    if (reference.empty()) {
+      reference = fp;
+      EXPECT_FALSE(result->topk.empty());
+    } else {
+      EXPECT_EQ(fp, reference) << "divergence at n=" << n;
     }
-    // Repeat-run stability at the widest fan-out: same fingerprint when the
-    // same configuration races its workers a second and third time.
-    opt.num_workers = 8;
-    for (int rep = 0; rep < 2; ++rep) {
-      auto result = Dmine(g, q, opt);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(ResultFingerprint(*result), reference)
-          << "repeat-run divergence, worker_gen=" << worker_gen;
-    }
+  }
+  // Repeat-run stability at the widest fan-out: same fingerprint when the
+  // same configuration races its workers a second and third time.
+  opt.num_workers = 8;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto result = Dmine(g, q, opt);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(ResultFingerprint(*result), reference)
+        << "repeat-run divergence";
   }
 }
 

@@ -47,7 +47,10 @@ Workload MakeWorkload(uint64_t seed) {
   return w;
 }
 
-void ExpectSameAnswer(const EipResult& got, const EipResult& want,
+/// Compares two full Σ(x, G, η) answers — batch `EipResult`s or
+/// `all_centers` `SessionReply`s, which carry the same fields.
+template <typename Got, typename Want>
+void ExpectSameAnswer(const Got& got, const Want& want,
                       const std::string& what) {
   EXPECT_EQ(got.entities, want.entities) << what;
   EXPECT_EQ(got.supp_q, want.supp_q) << what;
@@ -73,6 +76,23 @@ EipResult BatchIdentify(const Graph& g, const std::vector<Gpar>& sigma,
   auto r = IdentifyEntities(g, sigma, opt);
   EXPECT_TRUE(r.ok()) << r.status();
   return std::move(r).value();
+}
+
+/// The serving session's full Σ(x, G, η) answer.
+Result<SessionReply> QueryAll(ServeSession& s, double eta,
+                              bool require_consequent = false) {
+  SessionRequest req;
+  req.all_centers = true;
+  req.eta = eta;
+  req.require_consequent = require_consequent;
+  return s.Query(req);
+}
+
+/// A pure-insert mutation batch.
+GraphDelta InsertBatch(std::vector<EdgeInsert> inserts) {
+  GraphDelta d;
+  d.inserts = std::move(inserts);
+  return d;
 }
 
 /// Direct per-(rule, center) oracle for point queries: fresh whole-graph
@@ -168,7 +188,8 @@ std::vector<NodeId> SampleCenters(const RuleServer& server, uint64_t seed,
     centers.push_back(cands[rng() % cands.size()]);
   }
   // A couple of non-candidates (legal; they match nothing).
-  centers.push_back(static_cast<NodeId>(rng() % server.graph().num_nodes()));
+  centers.push_back(
+      static_cast<NodeId>(rng() % server.graph_snapshot()->num_nodes()));
   return centers;
 }
 
@@ -199,27 +220,26 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
       RuleServer& s = **server;
 
       // Cold.
-      ServeStats cold_stats;
-      auto cold = s.IdentifyAll(0.5, false, &cold_stats);
+      auto cold = QueryAll(s, 0.5);
       ASSERT_TRUE(cold.ok()) << cold.status();
       ExpectSameAnswer(*cold, batch_lo, "cold");
+      const ServeStats cold_stats = cold->stats;
       EXPECT_GT(cold_stats.cache_probes, 0u);
 
       // Warm: different eta, P_R semantics — all from cache.
-      ServeStats warm_stats;
-      auto warm = s.IdentifyAll(1.2, false, &warm_stats);
+      auto warm = QueryAll(s, 1.2);
       ASSERT_TRUE(warm.ok());
       ExpectSameAnswer(*warm, batch_hi, "warm");
-      EXPECT_EQ(warm_stats.cache_probes, 0u);
-      EXPECT_GT(warm_stats.cache_hits, 0u);
-      auto warm_pr = s.IdentifyAll(0.5, true);
+      EXPECT_EQ(warm->stats.cache_probes, 0u);
+      EXPECT_GT(warm->stats.cache_hits, 0u);
+      auto warm_pr = QueryAll(s, 0.5, true);
       ASSERT_TRUE(warm_pr.ok());
       ExpectSameAnswer(*warm_pr, batch_pr, "warm require_consequent");
 
       // Point queries against the fresh-match oracle.
-      ServeRequest req;
+      SessionRequest req;
       req.centers = SampleCenters(s, seed + n, 6);
-      auto reply = s.Serve(req);
+      auto reply = s.Query(req);
       ASSERT_TRUE(reply.ok()) << reply.status();
       ASSERT_EQ(reply->matched.size(), req.centers.size());
       for (size_t i = 0; i < req.centers.size(); ++i) {
@@ -229,18 +249,17 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
       }
 
       // Delta-then-query == rebuild-then-query.
-      auto ds = s.ApplyDelta(delta);
+      auto ds = s.ApplyDelta(InsertBatch(delta));
       ASSERT_TRUE(ds.ok()) << ds.status();
-      ServeStats delta_stats;
-      auto after = s.IdentifyAll(0.5, false, &delta_stats);
+      auto after = QueryAll(s, 0.5);
       ASSERT_TRUE(after.ok());
       ExpectSameAnswer(*after, batch_patched, "after delta");
       // Locality: a 6-edge delta must not flush the whole cache.
-      EXPECT_LE(delta_stats.cache_probes, cold_stats.cache_probes);
+      EXPECT_LE(after->stats.cache_probes, cold_stats.cache_probes);
 
       // Point queries on the patched graph (exercises the partial per-rule
       // probe path on half-invalidated centers).
-      auto reply2 = s.Serve(req);
+      auto reply2 = s.Query(req);
       ASSERT_TRUE(reply2.ok());
       for (size_t i = 0; i < req.centers.size(); ++i) {
         EXPECT_EQ(reply2->matched[i],
@@ -264,7 +283,7 @@ TEST(ServeEquivalence, GuidedAndPlainAgree) {
         opt.precompute_sketches = precompute;
         auto server = RuleServer::Create(w.graph, w.records, opt);
         ASSERT_TRUE(server.ok()) << server.status();
-        auto got = (*server)->IdentifyAll(0.8);
+        auto got = QueryAll(**server, 0.8);
         ASSERT_TRUE(got.ok());
         ExpectSameAnswer(*got, batch,
                          "guided=" + std::to_string(guided) +
@@ -286,15 +305,15 @@ TEST(ServeEquivalence, TinyCacheStillCorrect) {
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
   for (int round = 0; round < 2; ++round) {
-    auto got = s.IdentifyAll(0.5);
+    auto got = QueryAll(s, 0.5);
     ASSERT_TRUE(got.ok());
     ExpectSameAnswer(*got, batch, "tiny cache round " + std::to_string(round));
   }
   EXPECT_LE(s.cached_centers(), 8u);
 
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 9, 5);
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     EXPECT_EQ(reply->matched[i],
@@ -317,8 +336,8 @@ TEST(ServeEquivalence, SnapshotLoadRoundTrip) {
   auto in_memory = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(in_memory.ok());
 
-  auto a = (*loaded)->IdentifyAll(0.7);
-  auto b = (*in_memory)->IdentifyAll(0.7);
+  auto a = QueryAll(**loaded, 0.7);
+  auto b = QueryAll(**in_memory, 0.7);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "loaded vs in-memory");
@@ -333,16 +352,16 @@ TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
 
   auto live = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(live.ok());
-  ASSERT_TRUE((*live)->IdentifyAll(0.5).ok());  // warm up pre-delta
-  auto ds = (*live)->ApplyDelta(delta);
+  ASSERT_TRUE(QueryAll(**live, 0.5).ok());  // warm up pre-delta
+  auto ds = (*live)->ApplyDelta(InsertBatch(delta));
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->edges_inserted, patchref->edges_inserted);
 
   auto fresh = RuleServer::Create(patchref->graph, w.records);
   ASSERT_TRUE(fresh.ok());
 
-  auto a = (*live)->IdentifyAll(0.5);
-  auto b = (*fresh)->IdentifyAll(0.5);
+  auto a = QueryAll(**live, 0.5);
+  auto b = QueryAll(**fresh, 0.5);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "delta-maintained vs fresh");
@@ -388,21 +407,20 @@ TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
       RuleServer& s = **server;
 
       // Cold, then warm (all from cache).
-      auto cold = s.IdentifyAll(0.5);
+      auto cold = QueryAll(s, 0.5);
       ASSERT_TRUE(cold.ok()) << cold.status();
       ExpectSameAnswer(*cold, batch_cold, "cold");
-      ServeStats warm_stats;
-      auto warm = s.IdentifyAll(0.5, false, &warm_stats);
+      auto warm = QueryAll(s, 0.5);
       ASSERT_TRUE(warm.ok());
       ExpectSameAnswer(*warm, batch_cold, "warm");
-      EXPECT_EQ(warm_stats.cache_probes, 0u);
+      EXPECT_EQ(warm->stats.cache_probes, 0u);
 
       // Mid-stream checkpoint.
       for (int b = 0; b < kBatches / 2; ++b) {
         auto ds = s.ApplyDelta(stream[b]);
         ASSERT_TRUE(ds.ok()) << ds.status();
       }
-      auto mid = s.IdentifyAll(0.5);
+      auto mid = QueryAll(s, 0.5);
       ASSERT_TRUE(mid.ok());
       ExpectSameAnswer(*mid, batch_mid, "mid-stream");
 
@@ -412,21 +430,21 @@ TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
         auto ds = s.ApplyDelta(stream[b]);
         ASSERT_TRUE(ds.ok()) << ds.status();
       }
-      EXPECT_EQ(GraphBytes(s.graph()), GraphBytes(final_graph));
-      auto fin = s.IdentifyAll(0.5);
+      EXPECT_EQ(GraphBytes(*s.graph_snapshot()), GraphBytes(final_graph));
+      auto fin = QueryAll(s, 0.5);
       ASSERT_TRUE(fin.ok());
       ExpectSameAnswer(*fin, batch_final, "final vs batch");
 
       auto fresh = RuleServer::Create(final_graph, w.records, opt);
       ASSERT_TRUE(fresh.ok());
-      auto fresh_ans = (*fresh)->IdentifyAll(0.5);
+      auto fresh_ans = QueryAll(**fresh, 0.5);
       ASSERT_TRUE(fresh_ans.ok());
       ExpectSameAnswer(*fin, *fresh_ans, "final vs fresh server");
 
       // Point queries against the fresh-match oracle on the final graph.
-      ServeRequest req;
+      SessionRequest req;
       req.centers = SampleCenters(s, seed * 7 + n, 5);
-      auto reply = s.Serve(req);
+      auto reply = s.Query(req);
       ASSERT_TRUE(reply.ok()) << reply.status();
       for (size_t i = 0; i < req.centers.size(); ++i) {
         EXPECT_EQ(reply->matched[i],
@@ -444,7 +462,7 @@ TEST(DeltaStreamEquivalence, DeletesCollapseSupportBelowSigma) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  auto before = s.IdentifyAll(0.5);
+  auto before = QueryAll(s, 0.5);
   ASSERT_TRUE(before.ok());
   EXPECT_GT(before->supp_q, 0u);
 
@@ -467,14 +485,14 @@ TEST(DeltaStreamEquivalence, DeletesCollapseSupportBelowSigma) {
 
   auto p = PatchGraph(w.graph, wipe);
   ASSERT_TRUE(p.ok());
-  auto shrunk = s.IdentifyAll(0.5);
+  auto shrunk = QueryAll(s, 0.5);
   ASSERT_TRUE(shrunk.ok());
   EXPECT_EQ(shrunk->supp_q, 0u);
   ExpectSameAnswer(*shrunk, BatchIdentify(p->graph, w.sigma, 0.5, false),
                    "support wiped vs batch");
   auto fresh = RuleServer::Create(p->graph, w.records);
   ASSERT_TRUE(fresh.ok());
-  auto f = (*fresh)->IdentifyAll(0.5);
+  auto f = QueryAll(**fresh, 0.5);
   ASSERT_TRUE(f.ok());
   ExpectSameAnswer(*shrunk, *f, "support wiped vs fresh server");
 }
@@ -488,7 +506,7 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ASSERT_TRUE(s.IdentifyAll(0.5).ok());  // warm up pre-delete
+  ASSERT_TRUE(QueryAll(s, 0.5).ok());  // warm up pre-delete
 
   std::mt19937_64 rng(99);
   GraphDelta drop;
@@ -503,7 +521,7 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   ASSERT_TRUE(ds1.ok()) << ds1.status();
   auto p = PatchGraph(w.graph, drop);
   ASSERT_TRUE(p.ok());
-  auto shrunk = s.IdentifyAll(0.5);
+  auto shrunk = QueryAll(s, 0.5);
   ASSERT_TRUE(shrunk.ok());
   ExpectSameAnswer(*shrunk, BatchIdentify(p->graph, w.sigma, 0.5, false),
                    "after drop");
@@ -515,8 +533,8 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   }
   auto ds2 = s.ApplyDelta(put);
   ASSERT_TRUE(ds2.ok()) << ds2.status();
-  EXPECT_EQ(GraphBytes(s.graph()), GraphBytes(w.graph));
-  auto back = s.IdentifyAll(0.5);
+  EXPECT_EQ(GraphBytes(*s.graph_snapshot()), GraphBytes(w.graph));
+  auto back = QueryAll(s, 0.5);
   ASSERT_TRUE(back.ok());
   ExpectSameAnswer(*back, batch, "after reinsert");
 }
@@ -526,21 +544,22 @@ TEST(RuleServerTest, DuplicateDeltaIsNoOp) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ASSERT_TRUE(s.IdentifyAll(0.5).ok());
+  ASSERT_TRUE(QueryAll(s, 0.5).ok());
 
   // Re-insert an existing edge: nothing invalidated, cache stays warm.
+  const auto g = s.graph_snapshot();
   NodeId v = 0;
-  while (s.graph().out_edges(v).empty()) ++v;
-  AdjEntry e = s.graph().out_edges(v)[0];
-  auto ds = s.ApplyDelta(std::vector<EdgeInsert>{{v, e.label, e.other}});
+  while (g->out_edges(v).empty()) ++v;
+  AdjEntry e = g->out_edges(v)[0];
+  auto ds = s.ApplyDelta(InsertBatch({{v, e.label, e.other}}));
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->edges_inserted, 0u);
   EXPECT_EQ(ds->duplicates_ignored, 1u);
   EXPECT_EQ(ds->memberships_invalidated, 0u);
 
-  ServeStats stats;
-  ASSERT_TRUE(s.IdentifyAll(0.5, false, &stats).ok());
-  EXPECT_EQ(stats.cache_probes, 0u);
+  auto warm = QueryAll(s, 0.5);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->stats.cache_probes, 0u);
 }
 
 TEST(RuleServerTest, InputValidation) {
@@ -560,24 +579,23 @@ TEST(RuleServerTest, InputValidation) {
   RuleServer& s = **server;
 
   // Center out of range.
-  ServeRequest bad_center;
-  bad_center.centers = {s.graph().num_nodes() + 7};
-  EXPECT_FALSE(s.Serve(bad_center).ok());
+  const NodeId num_nodes = s.graph_snapshot()->num_nodes();
+  SessionRequest bad_center;
+  bad_center.centers = {num_nodes + 7};
+  EXPECT_FALSE(s.Query(bad_center).ok());
 
   // Rule index out of range.
-  ServeRequest bad_rule;
+  SessionRequest bad_rule;
   bad_rule.centers = {0};
   bad_rule.rules = {static_cast<uint32_t>(w.sigma.size())};
-  EXPECT_FALSE(s.Serve(bad_rule).ok());
+  EXPECT_FALSE(s.Query(bad_rule).ok());
 
   // Non-positive eta.
-  EXPECT_FALSE(s.IdentifyAll(0).ok());
+  EXPECT_FALSE(QueryAll(s, 0).ok());
 
   // Delta referencing unknown node.
-  LabelId l = s.graph().node_label(0);
-  EXPECT_FALSE(
-      s.ApplyDelta(std::vector<EdgeInsert>{{s.graph().num_nodes(), l, 0}})
-          .ok());
+  LabelId l = s.graph_snapshot()->node_label(0);
+  EXPECT_FALSE(s.ApplyDelta(InsertBatch({{num_nodes, l, 0}})).ok());
 }
 
 TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
@@ -586,10 +604,10 @@ TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
 
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 17, 4);
   req.rules = {0};
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     auto oracle = OracleMatched(w.graph, w.sigma, req.centers[i], false);
@@ -603,9 +621,9 @@ TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
   EXPECT_LE(reply->stats.cache_probes, req.centers.size());
 
   // The same centers for all rules: rule 0 comes from cache.
-  ServeRequest all;
+  SessionRequest all;
   all.centers = req.centers;
-  auto reply2 = s.Serve(all);
+  auto reply2 = s.Query(all);
   ASSERT_TRUE(reply2.ok());
   EXPECT_GT(reply2->stats.cache_hits, 0u);
   for (size_t i = 0; i < all.centers.size(); ++i) {
@@ -619,10 +637,10 @@ TEST(RuleServerTest, RequireConsequentSemantics) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 3, 6);
   req.require_consequent = true;
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     EXPECT_EQ(reply->matched[i],

@@ -427,29 +427,26 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   auto load_session = [&]() -> bool {
     single.reset();
     sharded.reset();
-    session = nullptr;
+    Status loaded = Status::OK();
     if (shards > 1) {
       ShardedRuleServerOptions sopt;
       sopt.num_shards = shards;
       sopt.shard_options = opt;
       auto s = ShardedRuleServer::Load(graph_path, rules_path, sopt);
-      if (!s.ok()) {
-        std::fprintf(stderr, "cannot load server: %s\n",
-                     s.status().ToString().c_str());
-        return false;
-      }
-      sharded = std::move(s).value();
-      session = sharded.get();
+      loaded = s.status();
+      if (s.ok()) sharded = std::move(s).value();
     } else {
       auto s = RuleServer::Load(graph_path, rules_path, opt);
-      if (!s.ok()) {
-        std::fprintf(stderr, "cannot load server: %s\n",
-                     s.status().ToString().c_str());
-        return false;
-      }
-      single = std::move(s).value();
-      session = single.get();
+      loaded = s.status();
+      if (s.ok()) single = std::move(s).value();
     }
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "cannot load server: %s\n",
+                   loaded.ToString().c_str());
+      return false;
+    }
+    session = single != nullptr ? static_cast<ServeSession*>(single.get())
+                                : sharded.get();
     if (!journal_path.empty()) {
       JournalReplayStats replay;
       Status st = session->AttachJournal(journal_path, {}, &replay);
@@ -544,11 +541,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
           std::printf("  %zu entities at eta=%.2f", reply->entities.size(),
                       eta);
         } else {
+          const std::vector<RuleRecord> rules = session->rules();
           for (size_t i = 0; i < parsed->request.centers.size(); ++i) {
             std::printf("  node %u:", parsed->request.centers[i]);
             if (reply->matched[i].empty()) std::printf(" no rule matches");
             for (uint32_t ri : reply->matched[i]) {
-              std::printf(" R%u(conf=%.3f)", ri, session->rules()[ri].conf);
+              std::printf(" R%u(conf=%.3f)", ri, rules[ri].conf);
             }
             std::printf("\n");
           }

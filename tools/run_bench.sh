@@ -3,15 +3,14 @@
 # merges their JSON reports into one machine-readable file that seeds the
 # perf trajectory across PRs. Additionally runs a CI-sized
 # exp1_dmine_vary_size sweep into a second JSON report (DMINE_JSON) so
-# DMine-level speedups are tracked PR-over-PR with in-run baselines: the
-# parent-prune ablation ("noprune_s") and the WorkerGen ablation
-# ("central_s" = coordinator-side candidate generation, plus the
-# coordinator-share columns that show generation moving off the
-# coordinator's critical path).
+# DMine-level speedups are tracked PR-over-PR with in-run baselines: DMineno
+# ("dmineno_s") and the parent-prune ablation ("noprune_s"), plus the
+# coordinator-share columns of the decentralized candidate generation.
 #
 # A third JSON report (PARTITION_JSON) comes from a CI-sized
-# exp4_partition_skew run: partition build time and fragment memory for
-# zero-copy GraphView fragments vs the use_fragment_copies baseline.
+# exp4_partition_skew run: fragment skew, the Match busy-time gap, and the
+# partition build time and fragment memory of the zero-copy GraphView
+# fragments.
 #
 # A fourth JSON report (SERVE_JSON) comes from a CI-sized exp5_serve run:
 # cold vs warm-cache QPS of the RuleServer serving path and the cost of
