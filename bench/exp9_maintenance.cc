@@ -1,21 +1,25 @@
-// Experiment E9 — the cost of keeping mined rules fresh. Two
-// RuleMaintainers ride the same interleaved insert+delete stream:
+// Experiment E9 — the cost of keeping mined rules fresh. The headline is
+// one maintenance pass against the honest baseline: ONE parallel Dmine on
+// the post-stream graph, run with the same `mine.num_workers` — what a
+// deployment without the maintainer pays per refresh. Two RuleMaintainers
+// ride the same interleaved insert+delete stream:
 //
-//   maintained: enable_incremental_maintenance = true — per batch, only
-//               centers inside the d-hop delta-affected region are
-//               re-probed; every other pool membership and match set is
-//               carried from the previous pass's evidence.
+//   maintained: enable_incremental_maintenance = true — per batch, only the
+//               (rule, center) pairs the batch's DeltaFrontier can flip are
+//               re-probed (a relevant delete near a member, a relevant
+//               insert near a non-member, or a pool flip); every other
+//               membership is carried from the previous pass's evidence.
 //   remine:     the ablation (flag off) — every pass re-probes every pool
-//               center from scratch, i.e. a sequential re-mine per batch.
+//               center from scratch, i.e. a re-mine per batch (the
+//               secondary column).
 //
 // Both must produce byte-identical top-k supports/confidences every batch
 // (the MaintainEquivalence invariant; a mismatch fails the bench), so the
 // only difference the table shows is cost: per-batch maintain seconds
 // (freshness lag — how stale the served top-k is after a delta lands),
 // centers re-probed vs carried, and the match-set-delta encoding's
-// evidence bytes against the raw full encoding. A final from-scratch
-// Dmine on the post-stream graph anchors the comparison to the real
-// miner's cost and checks the maintained objective against it.
+// evidence bytes against the raw full encoding. The final Dmine also
+// checks the maintained objective.
 //
 // With GPAR_BENCH_JSON=<path> the rows are also written as JSON (the
 // BENCH_maintenance.json CI artifact); GPAR_BENCH_SMALL=1 keeps the
@@ -147,8 +151,8 @@ int main() {
     EndRow();
   }
 
-  // Anchor: one true from-scratch Dmine on the post-stream graph — what a
-  // deployment without the maintainer pays for the same freshness.
+  // The baseline: one from-scratch parallel Dmine on the post-stream graph
+  // — what a deployment without the maintainer pays for the same freshness.
   Timer td;
   auto mined = Dmine(*m.graph(), q, mopt.mine);
   double dmine_s = td.Seconds();
@@ -167,7 +171,10 @@ int main() {
   }
   const Row& last = rows.back();
   double mean_lag = maintain_total / static_cast<double>(rows.size());
-  double speedup = maintain_total > 0 ? remine_total / maintain_total : 0;
+  // Headline: how many maintenance passes fit in one parallel Dmine on the
+  // final graph (> 1: maintaining beats re-mining per batch).
+  double vs_dmine = mean_lag > 0 ? dmine_s / mean_lag : 0;
+  double vs_remine = maintain_total > 0 ? remine_total / maintain_total : 0;
   double bytes_saved =
       last.bytes_full > 0
           ? 1.0 - static_cast<double>(last.bytes_delta) /
@@ -175,12 +182,14 @@ int main() {
           : 0;
 
   std::printf(
-      "\ntotals: maintain %.4fs vs remine-per-batch %.4fs (%.1fx), one\n"
-      "from-scratch Dmine on the final graph %.4fs; freshness lag mean\n"
-      "%.4fs / max %.4fs; evidence %llu bytes delta-encoded vs %llu full\n"
-      "(%.1f%% saved). Top-k supports/confidences stayed identical across\n"
-      "both paths every batch, and the final objective matches Dmine.\n",
-      maintain_total, remine_total, speedup, dmine_s, mean_lag, max_lag,
+      "\nheadline: one maintenance pass %.4fs (mean) vs one parallel Dmine\n"
+      "on the final graph %.4fs (%.2fx). Secondary: maintain %.4fs vs\n"
+      "remine-per-batch %.4fs in total (%.2fx); freshness lag max %.4fs;\n"
+      "evidence %llu bytes delta-encoded vs %llu full (%.1f%% saved).\n"
+      "Top-k supports/confidences stayed identical across both paths every\n"
+      "batch, and the final objective matches Dmine.\n",
+      mean_lag, dmine_s, vs_dmine, maintain_total, remine_total, vs_remine,
+      max_lag,
       static_cast<unsigned long long>(last.bytes_delta),
       static_cast<unsigned long long>(last.bytes_full), 100.0 * bytes_saved);
 
@@ -212,9 +221,10 @@ int main() {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
-                 "  \"totals\": {\"maintain_s\": %.6f, \"remine_s\": %.6f, "
-                 "\"speedup\": %.2f, \"dmine_final_s\": %.6f},\n",
-                 maintain_total, remine_total, speedup, dmine_s);
+                 "  \"totals\": {\"dmine_final_s\": %.6f, "
+                 "\"speedup_vs_dmine\": %.2f, \"maintain_s\": %.6f, "
+                 "\"remine_s\": %.6f, \"speedup_vs_remine\": %.2f},\n",
+                 dmine_s, vs_dmine, maintain_total, remine_total, vs_remine);
     std::fprintf(f,
                  "  \"freshness\": {\"mean_lag_s\": %.6f, "
                  "\"max_lag_s\": %.6f},\n",

@@ -20,7 +20,7 @@ constexpr auto ByEdge = [](const auto& a, const auto& b) {
   return a.dst < b.dst;
 };
 
-// The one merge routine behind all three Patch* entry points: applies the
+// The one merge routine behind both Patch* entry points: applies the
 // (already normalized) deletes and inserts in a single pass over the
 // out-CSR, then re-derives the in-CSR and label index via the shared
 // assembly routine — the same code path a from-scratch rebuild takes, which
@@ -303,11 +303,6 @@ Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels) {
   return Status::OK();
 }
 
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         std::span<const EdgeInsert> inserts) {
-  return PatchImpl(g, inserts, {});
-}
-
 Result<GraphPatch> PatchGraphWithDeletes(const Graph& g,
                                          std::span<const EdgeDelete> deletes) {
   return PatchImpl(g, {}, deletes);
@@ -315,11 +310,6 @@ Result<GraphPatch> PatchGraphWithDeletes(const Graph& g,
 
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
   return PatchImpl(g, delta.inserts, delta.deletes);
-}
-
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         const GraphDelta& delta) {
-  return PatchGraph(g, delta);
 }
 
 std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
@@ -355,34 +345,109 @@ std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
     const Graph& old_g, const Graph& new_g,
     std::span<const EdgeInsert> applied,
     std::span<const EdgeDelete> applied_deletes, uint32_t radius) {
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * (applied.size() + applied_deletes.size()));
-  for (const EdgeInsert& e : applied) {
-    endpoints.push_back(e.src);
-    endpoints.push_back(e.dst);
-  }
-  for (const EdgeDelete& e : applied_deletes) {
-    endpoints.push_back(e.src);
-    endpoints.push_back(e.dst);
-  }
-  std::sort(endpoints.begin(), endpoints.end());
-  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
-                  endpoints.end());
+  const DeltaFrontier f =
+      DeltaFrontier::Compute(old_g, new_g, applied, applied_deletes, radius);
+  return f.region();
+}
 
-  auto touched = NodesWithinRadiusOfAny(new_g, endpoints, radius);
-  if (!applied_deletes.empty()) {
-    auto before = NodesWithinRadiusOfAny(old_g, endpoints, radius);
-    touched.insert(touched.end(), before.begin(), before.end());
+namespace {
+
+/// The bit edge `i` of a side owns (see DeltaFrontier).
+uint64_t EdgeBit(size_t i) { return uint64_t{1} << (i % 64); }
+
+/// Bit-parallel multi-source BFS: spreads each touched edge's bit from both
+/// endpoints over undirected adjacency of `g`, one level per hop. Returns
+/// the level-major masks (level r = bits within r hops) and appends every
+/// node that received a bit to `reached`. Only nodes whose mask grew at
+/// level r can grow their neighbors' masks at level r + 1, so each level
+/// scans the adjacency of the previous level's frontier only.
+template <typename Edge>
+std::vector<uint64_t> SpreadEdgeBits(const Graph& g,
+                                     const std::vector<Edge>& edges,
+                                     uint32_t radius,
+                                     std::vector<NodeId>* reached) {
+  const size_t n = g.num_nodes();
+  std::vector<uint64_t> bits((static_cast<size_t>(radius) + 1) * n, 0);
+  std::vector<NodeId> frontier, next;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    for (NodeId v : {edges[i].src, edges[i].dst}) {
+      if (bits[v] == 0) frontier.push_back(v);
+      bits[v] |= EdgeBit(i);
+    }
   }
-  // Sorting pairs lexicographically keeps the minimum distance first among
-  // duplicates, so the unique pass below retains it.
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first == b.first;
-                            }),
-                touched.end());
-  return touched;
+  reached->insert(reached->end(), frontier.begin(), frontier.end());
+  for (uint32_t r = 1; r <= radius; ++r) {
+    const uint64_t* prev = bits.data() + (r - 1) * n;
+    uint64_t* cur = bits.data() + r * n;
+    std::copy(prev, prev + n, cur);
+    next.clear();
+    for (NodeId v : frontier) {
+      const uint64_t b = prev[v];
+      auto spread = [&](NodeId w) {
+        if ((cur[w] | b) == cur[w]) return;
+        if (cur[w] == prev[w]) next.push_back(w);  // first growth this level
+        cur[w] |= b;
+      };
+      for (const AdjEntry& e : g.out_edges(v)) spread(e.other);
+      for (const AdjEntry& e : g.in_edges(v)) spread(e.other);
+    }
+    reached->insert(reached->end(), next.begin(), next.end());
+    frontier.swap(next);
+  }
+  return bits;
+}
+
+}  // namespace
+
+DeltaFrontier DeltaFrontier::Compute(
+    const Graph& old_g, const Graph& new_g,
+    std::span<const EdgeInsert> applied,
+    std::span<const EdgeDelete> applied_deletes, uint32_t radius) {
+  DeltaFrontier f;
+  f.radius_ = radius;
+  f.num_nodes_ = new_g.num_nodes();
+  f.inserts_.assign(applied.begin(), applied.end());
+  f.deletes_.assign(applied_deletes.begin(), applied_deletes.end());
+  // Deltas add edges, never nodes: node labels agree across both graphs.
+  for (const EdgeInsert& e : f.inserts_) {
+    f.insert_triples_.push_back(
+        {new_g.node_label(e.src), e.label, new_g.node_label(e.dst)});
+  }
+  for (const EdgeDelete& e : f.deletes_) {
+    f.delete_triples_.push_back(
+        {old_g.node_label(e.src), e.label, old_g.node_label(e.dst)});
+  }
+  std::vector<NodeId> reached;
+  if (!f.inserts_.empty()) {
+    f.ins_bits_ = SpreadEdgeBits(new_g, f.inserts_, radius, &reached);
+  }
+  if (!f.deletes_.empty()) {
+    f.del_bits_ = SpreadEdgeBits(old_g, f.deletes_, radius, &reached);
+  }
+  std::sort(reached.begin(), reached.end());
+  reached.erase(std::unique(reached.begin(), reached.end()), reached.end());
+  f.region_.reserve(reached.size());
+  for (NodeId v : reached) {
+    uint32_t r = 0;
+    while (f.InsertsWithin(v, r) == 0 && f.DeletesWithin(v, r) == 0) ++r;
+    f.region_.emplace_back(v, r);
+  }
+  return f;
+}
+
+EdgeBits DeltaFrontier::BitsForTriple(LabelId src_label, LabelId edge_label,
+                                      LabelId dst_label) const {
+  EdgeBits out;
+  auto same = [&](const Triple& t) {
+    return t.src == src_label && t.edge == edge_label && t.dst == dst_label;
+  };
+  for (size_t i = 0; i < insert_triples_.size(); ++i) {
+    if (same(insert_triples_[i])) out.inserts |= EdgeBit(i);
+  }
+  for (size_t i = 0; i < delete_triples_.size(); ++i) {
+    if (same(delete_triples_[i])) out.deletes |= EdgeBit(i);
+  }
+  return out;
 }
 
 }  // namespace gpar

@@ -137,44 +137,32 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
 /// has (the live shard-wire path): those verify and no-op.
 Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
 
-/// Applies edge inserts to an immutable CSR graph, producing a new `Graph`
-/// that is bit-identical to rebuilding from scratch with the extended edge
-/// list (guarded by the delta tests via snapshot-byte comparison).
-///
-/// Cost is O(|V| + |E| + k log k) for k inserts: the inserts are sorted and
-/// merged into the out-CSR in one pass — no global edge re-sort — and the
-/// in-CSR and label index are re-derived by the shared assembly routine.
-/// The paper's serving scenario applies small deltas to large graphs, where
-/// the merge is dominated by the memcpy of the untouched adjacency.
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         std::span<const EdgeInsert> inserts);
-
-/// Deletion counterpart: removes the named edges in the same single merge
-/// pass, bit-identical to a from-scratch rebuild from the shrunken edge
-/// list. Deletes of absent edges (including out-of-range endpoints or
-/// uninterned labels) are counted in `GraphPatch::missing`, never fatal.
+/// Removes the named edges in one merge pass over the CSR, bit-identical
+/// to a from-scratch rebuild from the shrunken edge list. Deletes of absent
+/// edges (including out-of-range endpoints or uninterned labels) are
+/// counted in `GraphPatch::missing`, never fatal.
 Result<GraphPatch> PatchGraphWithDeletes(const Graph& g,
                                          std::span<const EdgeDelete> deletes);
 
 /// The unified mutation entry point — applies `delta.deletes` then
 /// `delta.inserts` in ONE merge pass over the CSR, bit-identical to a
 /// from-scratch rebuild from the final edge list
-/// (old edges \ deletes) ∪ inserts.
+/// (old edges \ deletes) ∪ inserts. Inserts are strict: an out-of-range
+/// endpoint or uninterned label is InvalidArgument.
+///
+/// Cost is O(|V| + |E| + k log k) for k mutations: they are sorted and
+/// merged into the out-CSR in one pass — no global edge re-sort — and the
+/// in-CSR and label index are re-derived by the shared assembly routine.
+/// The paper's serving scenario applies small deltas to large graphs, where
+/// the merge is dominated by the memcpy of the untouched adjacency.
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta);
-
-/// Typed-batch insert form — kept for PR 5/6 callers; equivalent to
-/// `PatchGraph` when `delta.deletes` is empty.
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         const GraphDelta& delta);
 
 /// Distance-bounded invalidation support: for every node within undirected
 /// distance `radius` of any source, its distance to the nearest source.
 /// One multi-source BFS; pairs are returned in BFS order (sources first).
-/// The serving layer uses this to find the cache entries an edge delta can
-/// affect (locality, Section 5.1: membership of v depends only on G_d(v)).
-/// For inserts it runs on the *patched* graph; for deletes it must run on
-/// the *pre-delete* graph too — a center that reached a deleted edge only
-/// through that edge is distant in the patched graph but still stale.
+/// Shard servers use it to re-derive the d-balls of the owned centers a
+/// delta reaches (locality, Section 5.1: membership of v depends only on
+/// G_d(v)).
 std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
     const Graph& g, std::span<const NodeId> sources, uint32_t radius);
 
@@ -183,20 +171,112 @@ std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
 /// `new_g` after applying exactly `applied` + `applied_deletes`, paired
 /// with its minimum distance to a touched endpoint. By the locality
 /// property (Section 5.1) these are the only nodes whose membership in any
-/// pattern of eval radius <= `radius` can have changed — the shared
-/// invalidation/re-probe frontier of the serving tier (cache invalidation,
-/// shard view extension) and the rule maintainer (evidence patching).
+/// pattern of eval radius <= `radius` can have changed.
 ///
-/// The BFS runs on the patched graph and — when deletes are present — on
-/// the pre-delete graph too, unioned at minimum distance: a center whose
-/// only path to a deleted edge ran THROUGH that edge is beyond `radius` on
-/// the patched graph but its d-ball still lost the edge (non-monotone
-/// reach). Pure-insert batches skip the second sweep (the patched graph
-/// contains every old path). Pairs come back sorted by node id.
+/// Inserted edges are reached on the patched graph, deleted ones on the
+/// pre-delete graph, unioned at minimum distance: a center whose only path
+/// to a deleted edge ran THROUGH that edge is beyond `radius` on the
+/// patched graph but its d-ball still lost the edge (non-monotone reach).
+/// Pairs come back sorted by node id. Same as
+/// `DeltaFrontier::Compute(...).region()`.
 std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
     const Graph& old_g, const Graph& new_g,
     std::span<const EdgeInsert> applied,
     std::span<const EdgeDelete> applied_deletes, uint32_t radius);
+
+/// Sets of touched edges as bitmasks: bit b of `inserts` stands for the
+/// applied inserts whose index i has i mod 64 == b, likewise for deletes.
+struct EdgeBits {
+  uint64_t inserts = 0;
+  uint64_t deletes = 0;
+
+  EdgeBits& operator|=(const EdgeBits& o) {
+    inserts |= o.inserts;
+    deletes |= o.deletes;
+    return *this;
+  }
+};
+
+/// The label- and direction-aware re-probe frontier of one applied batch.
+///
+/// It refines the affected region (locality, Section 5.1) with two facts
+/// about a pattern P of radius r at x, for a center c:
+///  - c can GAIN a match only through an inserted edge whose (src label,
+///    edge label, dst label) triple is an edge triple of P and that lies
+///    within r hops of c on the patched graph — a new match avoiding every
+///    inserted edge was already a match before;
+///  - c can LOSE its matches only through such a deleted edge within r
+///    hops of c on the pre-delete graph — an old match avoiding every
+///    deleted edge survives.
+/// One bit-parallel multi-source BFS per side keeps, for each node and
+/// each radius <= `radius()`, the bits of the touched edges within reach:
+/// insert bits spread on the patched graph, delete bits on the pre-delete
+/// graph. Pattern-side bits come from `BitsForTriple` (pattern_ops's
+/// `FrontierBits` folds them over a pattern's edges).
+///
+/// Edge i of a side owns bit i mod 64. Past 64 edges per side, edges share
+/// bits, which only adds re-probes: a membership is carried when no bit is
+/// shared, and sharing never hides an edge that is both near and relevant.
+class DeltaFrontier {
+ public:
+  /// The frontier of a batch that touched nothing: every lookup reads 0.
+  DeltaFrontier() = default;
+
+  /// `old_g` and `new_g` are the graphs before and after applying exactly
+  /// `applied` and `applied_deletes` (a `GraphPatch`'s normalized lists).
+  static DeltaFrontier Compute(const Graph& old_g, const Graph& new_g,
+                               std::span<const EdgeInsert> applied,
+                               std::span<const EdgeDelete> applied_deletes,
+                               uint32_t radius);
+
+  uint32_t radius() const { return radius_; }
+  const std::vector<EdgeInsert>& inserts() const { return inserts_; }
+  const std::vector<EdgeDelete>& deletes() const { return deletes_; }
+  bool empty() const { return inserts_.empty() && deletes_.empty(); }
+
+  /// Bits of the touched edges src --edge--> dst whose endpoint labels and
+  /// edge label equal the triple.
+  EdgeBits BitsForTriple(LabelId src_label, LabelId edge_label,
+                         LabelId dst_label) const;
+
+  /// Bits of the inserted (deleted) edges with an endpoint within `r`
+  /// undirected hops of `v` on the patched (pre-delete) graph. Past
+  /// `radius()` nothing is known, so a non-empty side reads all ones.
+  uint64_t InsertsWithin(NodeId v, uint32_t r) const {
+    return Lookup(ins_bits_, v, r);
+  }
+  uint64_t DeletesWithin(NodeId v, uint32_t r) const {
+    return Lookup(del_bits_, v, r);
+  }
+
+  /// Every node within `radius()` of a touched edge on its side's graph,
+  /// with its minimum distance, sorted by node id.
+  const std::vector<std::pair<NodeId, uint32_t>>& region() const {
+    return region_;
+  }
+
+ private:
+  struct Triple {
+    LabelId src, edge, dst;
+  };
+
+  uint64_t Lookup(const std::vector<uint64_t>& bits, NodeId v,
+                  uint32_t r) const {
+    if (bits.empty()) return 0;
+    if (r > radius_) return ~uint64_t{0};
+    return bits[static_cast<size_t>(r) * num_nodes_ + v];
+  }
+
+  uint32_t radius_ = 0;
+  size_t num_nodes_ = 0;
+  std::vector<EdgeInsert> inserts_;
+  std::vector<EdgeDelete> deletes_;
+  std::vector<Triple> insert_triples_, delete_triples_;
+  /// Level-major: entry r * num_nodes_ + v holds the bits within r hops
+  /// of v. Empty when the side has no edges.
+  std::vector<uint64_t> ins_bits_, del_bits_;
+  std::vector<std::pair<NodeId, uint32_t>> region_;
+};
 
 }  // namespace gpar
 

@@ -1,7 +1,9 @@
 #include "maintain/rule_maintainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "graph/stats.h"
@@ -82,12 +84,58 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->seconds += ps.seconds;
 }
 
+/// One worker's share of a pass's probe counters, on its own cache line.
+struct alignas(64) ProbeCounts {
+  uint64_t reprobed = 0;
+  uint64_t carried = 0;
+  uint64_t exists = 0;
+};
+
+/// Evaluates pattern `p` over the sorted `pool`, appending the matching
+/// centers to `out`. With evidence (`old_set`, the pattern's previous
+/// match set, non-null only alongside `frontier`), a center is carried
+/// unless the frontier can flip it within p's radius: a member needs a
+/// relevant delete within reach, a non-member a relevant insert, and a
+/// center whose pool status flipped (`flipped`, sorted) has no evidence.
+void ProbePool(VF2Matcher& matcher, const Pattern& p,
+               std::span<const NodeId> pool,
+               const std::vector<NodeId>* old_set,
+               const DeltaFrontier* frontier,
+               const std::vector<NodeId>& flipped, std::vector<NodeId>* out,
+               ProbeCounts* counts) {
+  const uint32_t radius = Radius(p, p.x());
+  const EdgeBits bits =
+      old_set != nullptr ? FrontierBits(*frontier, p) : EdgeBits{};
+  size_t j = 0;  // cursor into old_set: both lists are sorted
+  for (NodeId c : pool) {
+    if (old_set != nullptr) {
+      while (j < old_set->size() && (*old_set)[j] < c) ++j;
+      const bool was = j < old_set->size() && (*old_set)[j] == c;
+      const uint64_t reach =
+          was ? frontier->DeletesWithin(c, radius) & bits.deletes
+              : frontier->InsertsWithin(c, radius) & bits.inserts;
+      if (reach == 0 &&
+          !std::binary_search(flipped.begin(), flipped.end(), c)) {
+        ++counts->carried;
+        if (was) out->push_back(c);
+        continue;
+      }
+    }
+    ++counts->reprobed;
+    ++counts->exists;
+    if (matcher.ExistsAt(p, c)) out->push_back(c);
+  }
+}
+
 }  // namespace
 
 RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
                                const Predicate& q,
                                const MaintainOptions& options)
     : options_(options), graph_(std::move(g)), q_(q) {
+  if (options_.mine.num_workers > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.mine.num_workers);
+  }
   pq_ = q_.ToPattern();
   PNodeId x = base_.AddNode(q_.x_label);
   PNodeId y = base_.AddNode(q_.y_label);
@@ -137,12 +185,12 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
   m->evidence_ = std::move(evidence);
   m->RebuildIndex();
   // A zero-delta pass rebuilds Σ/top-k from the adopted evidence: with an
-  // empty affected map every membership is carried, so this is pattern-
-  // level work only (no pool probes) when the evidence matches the graph —
-  // and a sound (if slow) re-expansion when it does not.
-  const std::unordered_map<NodeId, uint32_t> kNoneAffected;
+  // empty frontier every membership is carried, so this is pattern-level
+  // work only (no pool probes) when the evidence matches the graph — and a
+  // sound (if slow) re-expansion when it does not.
+  const DeltaFrontier kNothingTouched;
   MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(&kNoneAffected, &ps));
+  GPAR_RETURN_NOT_OK(m->RefreshPass(&kNothingTouched, &ps));
   Accumulate(&m->lifetime_, ps);
   return m;
 }
@@ -154,48 +202,85 @@ void RuleMaintainer::RebuildIndex() {
   }
 }
 
-Status RuleMaintainer::RefreshPass(
-    const std::unordered_map<NodeId, uint32_t>* affected, MaintainStats* ps) {
+void RuleMaintainer::RunTasks(
+    size_t n, const std::function<void(uint32_t, size_t)>& fn) {
+  if (pool_ == nullptr || n <= 1) {
+    for (size_t t = 0; t < n; ++t) fn(0, t);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  ParallelFor(*pool_, pool_->num_threads(), [&](uint32_t worker) {
+    // Relaxed: the counter only hands out distinct task ids; ParallelFor's
+    // completion latch publishes every task's writes to the caller.
+    for (size_t t = next.fetch_add(1, std::memory_order_relaxed); t < n;
+         t = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(worker, t);
+    }
+  });
+}
+
+Status RuleMaintainer::RefreshPass(const DeltaFrontier* frontier,
+                                   MaintainStats* ps) {
   const auto t0 = std::chrono::steady_clock::now();
   const DmineOptions& mo = options_.mine;
   const Graph& g = *graph_;
-  if (!options_.enable_incremental_maintenance) affected = nullptr;
+  if (!options_.enable_incremental_maintenance) frontier = nullptr;
   ++ps->passes;
 
-  VF2Matcher matcher(g);
   SearchPlanStore plan_store(g);
   {
     PNodeId px = pq_.x();
     plan_store.Prepare(pq_, {&px, 1});
-    matcher.set_plan_store(&plan_store);
   }
+  // One matcher per worker, all reading the shared store (Prepare runs
+  // only between the parallel sections).
+  const uint32_t workers = pool_ != nullptr ? pool_->num_threads() : 1;
+  std::vector<std::unique_ptr<VF2Matcher>> matchers;
+  for (uint32_t w = 0; w < workers; ++w) {
+    matchers.push_back(std::make_unique<VF2Matcher>(g));
+    matchers.back()->set_plan_store(&plan_store);
+  }
+  std::vector<ProbeCounts> counts(workers);
 
-  // --- Round 0: the q / ~q pools, patched over the affected frontier.
-  // Pool membership of a center depends on G_1(center) (P_q has radius 1;
-  // the ~q test reads the center's own out-edges), so only centers within
-  // distance 1 of a touched endpoint are re-probed.
+  // --- Round 0: the q / ~q pools. Both read only a center's own out-edges
+  // with the q label, so only the sources of touched q-labelled edges are
+  // re-probed; the centers whose status flipped are recorded, since their
+  // evidence in every pattern is void (see the class comment).
+  std::vector<NodeId> pool_touched, flipped;
+  if (frontier != nullptr) {
+    for (const EdgeInsert& e : frontier->inserts()) {
+      if (e.label == q_.edge_label) pool_touched.push_back(e.src);
+    }
+    for (const EdgeDelete& e : frontier->deletes()) {
+      if (e.label == q_.edge_label) pool_touched.push_back(e.src);
+    }
+    std::sort(pool_touched.begin(), pool_touched.end());
+  }
   RuleSetEvidence next;
   next.setup = evidence_.setup;
+  const std::vector<NodeId>& q_pool = evidence_.q_pool;
+  const std::vector<NodeId>& qbar_pool = evidence_.qbar_pool;
   for (NodeId c : g.nodes_with_label(q_.x_label)) {
-    bool probe = affected == nullptr;
-    if (!probe) {
-      auto it = affected->find(c);
-      probe = it != affected->end() && it->second <= 1;
+    bool was_q = false, was_qbar = false;
+    if (frontier != nullptr) {
+      was_q = std::binary_search(q_pool.begin(), q_pool.end(), c);
+      was_qbar = !was_q &&
+                 std::binary_search(qbar_pool.begin(), qbar_pool.end(), c);
     }
-    bool in_q = false, in_qbar = false;
+    bool in_q = was_q, in_qbar = was_qbar;
+    const bool probe =
+        frontier == nullptr ||
+        std::binary_search(pool_touched.begin(), pool_touched.end(), c);
     if (probe) {
       ++ps->centers_reprobed;
       ++ps->exists_calls;
-      in_q = matcher.ExistsAt(pq_, c);
-      if (!in_q) in_qbar = g.HasOutLabel(c, q_.edge_label);
+      in_q = matchers[0]->ExistsAt(pq_, c);
+      in_qbar = !in_q && g.HasOutLabel(c, q_.edge_label);
+      if (frontier != nullptr && (in_q != was_q || in_qbar != was_qbar)) {
+        flipped.push_back(c);
+      }
     } else {
       ++ps->centers_carried;
-      in_q = std::binary_search(evidence_.q_pool.begin(),
-                                evidence_.q_pool.end(), c);
-      if (!in_q) {
-        in_qbar = std::binary_search(evidence_.qbar_pool.begin(),
-                                     evidence_.qbar_pool.end(), c);
-      }
     }
     if (in_q) {
       next.q_pool.push_back(c);
@@ -226,10 +311,8 @@ Status RuleMaintainer::RefreshPass(
   std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
   const std::vector<EdgePatternStat> seeds =
       FrequentEdgePatterns(g, mo.seed_edge_limit);
-  VF2Matcher global_matcher(g);
   DmineStats dedup_stats;  // scratch for DedupCandidates' counters
   const bool prune = mo.enable_parent_prune;
-  static const std::vector<NodeId> kNoOldSet;
 
   // This round's parents, with the index of each parent's entry in
   // `next.entries` (its freshly patched pools).
@@ -239,9 +322,10 @@ Status RuleMaintainer::RefreshPass(
   // The discovery skeleton below replays Dmine's coordinator loop verbatim
   // (same candidate stream, dedup, acceptance, incDiv and reduction calls),
   // with match evaluation swapped for evidence patching. Supports computed
-  // here are exactly the full-probe values — locality carries unaffected
-  // memberships, anti-monotone pools bound the rest — so the pass output is
-  // byte-identical to Dmine on the current graph.
+  // here are exactly the full-probe values — the frontier carries only
+  // memberships no touched edge can flip, anti-monotone pools bound the
+  // rest — so the pass output is byte-identical to Dmine on the current
+  // graph.
   for (uint32_t round = 1;
        round <= mo.max_pattern_edges && (round == 1 || !m_parents.empty());
        ++round) {
@@ -266,134 +350,99 @@ Status RuleMaintainer::RefreshPass(
     const std::vector<size_t> kept =
         DedupCandidates(fresh, mo.max_candidates_per_round, &seen_buckets,
                         mo.enable_bisim_prefilter, &dedup_stats);
-    std::vector<Gpar> candidates;
-    std::vector<size_t> cand_parent;
-    candidates.reserve(kept.size());
-    cand_parent.reserve(kept.size());
-    for (size_t idx : kept) {
-      candidates.push_back(std::move(fresh[idx]));
-      cand_parent.push_back(fresh_parent[idx]);
-    }
-    if (candidates.empty()) break;
-    ps->candidates_evaluated += candidates.size();
+    if (kept.empty()) break;
+    ps->candidates_evaluated += kept.size();
 
-    std::vector<char> other_ok(candidates.size(), 1);
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      for (const Pattern& comp : candidates[ci].other_components()) {
-        ++ps->exists_calls;
-        if (!global_matcher.Exists(comp)) {
-          other_ok[ci] = 0;
-          break;
-        }
-      }
-    }
-
-    for (const Gpar& r : candidates) {
-      PNodeId prx = r.pr().x();
-      plan_store.Prepare(r.pr(), {&prx, 1});
-      PNodeId qx = r.x_component().x();
-      plan_store.Prepare(r.x_component(), {&qx, 1});
-    }
-
-    std::vector<std::shared_ptr<MinedRule>> delta;
-    std::vector<uint32_t> delta_entry;  // entry index per accepted rule
-
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      const Gpar& r = candidates[ci];
-      const uint32_t radius = r.eval_radius();
-
-      // Pools: the parent's THIS-pass match sets (already exact), or the
-      // round-0 pools for roots and the prune-off ablation. Note: spans
-      // into entry vectors stay valid across `next.entries` growth — vector
-      // reallocation moves the EvidenceEntry objects, which transfers the
-      // inner buffers without touching their contents.
-      const uint32_t parent_entry =
-          (prune && cand_parent[ci] != kRootParent)
-              ? m_parent_entry[cand_parent[ci]]
-              : kEvidenceRoot;
-      std::span<const NodeId> pr_pool =
-          parent_entry != kEvidenceRoot
-              ? std::span<const NodeId>(next.entries[parent_entry].pr_matches)
-              : std::span<const NodeId>(next.q_pool);
-      std::span<const NodeId> ant_pool =
-          parent_entry != kEvidenceRoot
-              ? std::span<const NodeId>(next.entries[parent_entry].ant_matches)
-              : std::span<const NodeId>(next.qbar_pool);
-
-      // Prior evidence for this exact pattern, if any (a fresh pattern —
-      // new seed, shifted lineage — has none and is re-expanded over its
-      // pool, which its parent has already narrowed).
+    // Per candidate: its pools — the parent's THIS-pass match sets
+    // (already exact), or the round-0 pools for roots and the prune-off
+    // ablation — and its prior evidence, if any (a fresh pattern — new
+    // seed, shifted lineage — has none and is re-expanded over its pool,
+    // which its parent has already narrowed). The spans stay valid through
+    // the round: this round's entries are appended only after its probes.
+    struct Candidate {
+      std::span<const NodeId> pr_pool, ant_pool;
       const EvidenceEntry* old_ev = nullptr;
-      if (affected != nullptr) {
-        auto it = index_.find(StructuralHash(r.pr()));
+    };
+    std::vector<Candidate> cands(kept.size());
+    std::vector<EvidenceEntry> entries(kept.size());
+    std::vector<char> other_ok(kept.size(), 1);
+    for (size_t ci = 0; ci < kept.size(); ++ci) {
+      EvidenceEntry& ent = entries[ci];
+      ent.rule = std::move(fresh[kept[ci]]);
+      const size_t parent = fresh_parent[kept[ci]];
+      ent.parent = (prune && parent != kRootParent) ? m_parent_entry[parent]
+                                                    : kEvidenceRoot;
+      Candidate& c = cands[ci];
+      if (ent.parent != kEvidenceRoot) {
+        c.pr_pool = next.entries[ent.parent].pr_matches;
+        c.ant_pool = next.entries[ent.parent].ant_matches;
+      } else {
+        c.pr_pool = next.q_pool;
+        c.ant_pool = next.qbar_pool;
+      }
+      if (frontier != nullptr) {
+        auto it = index_.find(StructuralHash(ent.rule.pr()));
         if (it != index_.end()) {
           for (uint32_t ei : it->second) {
-            if (evidence_.entries[ei].rule == r) {
-              old_ev = &evidence_.entries[ei];
+            if (evidence_.entries[ei].rule == ent.rule) {
+              c.old_ev = &evidence_.entries[ei];
               break;
             }
           }
         }
       }
-      if (old_ev != nullptr) {
+      if (c.old_ev != nullptr) {
         ++ps->rules_patched;
       } else {
         ++ps->rules_reexpanded;
       }
+      PNodeId prx = ent.rule.pr().x();
+      plan_store.Prepare(ent.rule.pr(), {&prx, 1});
+      PNodeId qx = ent.rule.x_component().x();
+      plan_store.Prepare(ent.rule.x_component(), {&qx, 1});
+    }
 
-      // Membership of `c` in pattern `p` (eval radius <= `radius`): probe
-      // when the center sits inside the affected region at that radius or
-      // there is no evidence to carry; otherwise G_radius(c) is unchanged
-      // and the prior pass's answer stands (locality, Section 5.1).
-      auto membership = [&](NodeId c, const Pattern& p,
-                            const std::vector<NodeId>& old_set,
-                            bool have_old) -> bool {
-        bool must_probe = !have_old;
-        if (!must_probe) {
-          auto it = affected->find(c);
-          must_probe = it != affected->end() && it->second <= radius;
-        }
-        if (must_probe) {
-          ++ps->centers_reprobed;
-          ++ps->exists_calls;
-          return matcher.ExistsAt(p, c);
-        }
-        ++ps->centers_carried;
-        return std::binary_search(old_set.begin(), old_set.end(), c);
-      };
-
-      EvidenceEntry ent;
-      ent.rule = r;
-      ent.parent = parent_entry;
-      auto rule = std::make_shared<MinedRule>();
-      rule->rule = r;
-
-      const bool have_pr = old_ev != nullptr;
-      for (NodeId c : pr_pool) {
-        if (membership(c, r.pr(), have_pr ? old_ev->pr_matches : kNoOldSet,
-                       have_pr)) {
-          ent.pr_matches.push_back(c);
+    // The probes: task 2ci evaluates candidate ci's P_R over its pr pool,
+    // task 2ci+1 its antecedent x-component over its ~q pool (after the
+    // global check of Q's other components, which gates that side).
+    RunTasks(2 * kept.size(), [&](uint32_t w, size_t task) {
+      const size_t ci = task / 2;
+      const Candidate& c = cands[ci];
+      EvidenceEntry& ent = entries[ci];
+      VF2Matcher& matcher = *matchers[w];
+      if (task % 2 == 0) {
+        ProbePool(matcher, ent.rule.pr(), c.pr_pool,
+                  c.old_ev != nullptr ? &c.old_ev->pr_matches : nullptr,
+                  frontier, flipped, &ent.pr_matches, &counts[w]);
+        return;
+      }
+      for (const Pattern& comp : ent.rule.other_components()) {
+        ++counts[w].exists;
+        if (!matcher.Exists(comp)) {
+          other_ok[ci] = 0;
+          return;
         }
       }
+      ent.ant_probed = true;
+      const bool have_ant = c.old_ev != nullptr && c.old_ev->ant_probed;
+      ProbePool(matcher, ent.rule.x_component(), c.ant_pool,
+                have_ant ? &c.old_ev->ant_matches : nullptr, frontier,
+                flipped, &ent.ant_matches, &counts[w]);
+    });
+
+    std::vector<std::shared_ptr<MinedRule>> delta;
+    std::vector<uint32_t> delta_entry;  // entry index per accepted rule
+    for (size_t ci = 0; ci < kept.size(); ++ci) {
+      EvidenceEntry& ent = entries[ci];
+      auto rule = std::make_shared<MinedRule>();
+      rule->rule = ent.rule;
       rule->supp = ent.pr_matches.size();
       rule->matches = ent.pr_matches;
       rule->extendable = rule->supp > 0;
       rule->uconf_plus = UConfPlus(rule->supp, supp_qbar, supp_q);
+      if (other_ok[ci]) rule->supp_qqbar = ent.ant_matches.size();
 
-      if (other_ok[ci]) {
-        ent.ant_probed = true;
-        const bool have_ant = old_ev != nullptr && old_ev->ant_probed;
-        for (NodeId c : ant_pool) {
-          if (membership(c, r.x_component(),
-                         have_ant ? old_ev->ant_matches : kNoOldSet,
-                         have_ant)) {
-            ent.ant_matches.push_back(c);
-          }
-        }
-        rule->supp_qqbar = ent.ant_matches.size();
-      }
-
-      if (old_ev != nullptr) {
+      if (const EvidenceEntry* old_ev = cands[ci].old_ev) {
         const bool was_in = old_ev->pr_matches.size() >= mo.sigma;
         const bool now_in = rule->supp >= mo.sigma;
         if (!was_in && now_in) ++ps->sigma_crossed_up;
@@ -434,6 +483,11 @@ Status RuleMaintainer::RefreshPass(
       m_parent_entry.push_back(delta_entry[di]);
     }
   }
+  for (const ProbeCounts& c : counts) {
+    ps->centers_reprobed += c.reprobed;
+    ps->centers_carried += c.carried;
+    ps->exists_calls += c.exists;
+  }
 
   if (mo.enable_incremental_div) {
     topk_ = incdiv.TopK();
@@ -471,28 +525,18 @@ Status RuleMaintainer::RefreshPass(
 }
 
 Result<MaintainStats> RuleMaintainer::Advance(
-    const Graph& old_graph, std::shared_ptr<const Graph> new_graph,
-    std::span<const EdgeInsert> applied,
-    std::span<const EdgeDelete> applied_deletes) {
+    std::shared_ptr<const Graph> new_graph, const DeltaFrontier& frontier) {
   if (new_graph == nullptr) return Status::InvalidArgument("null graph");
   MaintainStats ps;
-  ps.edges_inserted = applied.size();
-  ps.edges_deleted = applied_deletes.size();
+  ps.edges_inserted = frontier.inserts().size();
+  ps.edges_deleted = frontier.deletes().size();
   graph_ = std::move(new_graph);
-
-  std::unordered_map<NodeId, uint32_t> affected;
-  const std::unordered_map<NodeId, uint32_t>* affected_ptr = nullptr;
   if (options_.enable_incremental_maintenance) {
-    // The shared re-probe frontier, at the mining radius: every generated
-    // rule has eval_radius() <= mine.d, and the pools live at radius 1.
-    const auto region = DeltaAffectedRegion(old_graph, *graph_, applied,
-                                            applied_deletes, options_.mine.d);
-    affected.reserve(region.size());
-    for (const auto& [v, dist] : region) affected.emplace(v, dist);
-    ps.affected_nodes = affected.size();
-    affected_ptr = &affected;
+    for (const auto& [v, dist] : frontier.region()) {
+      if (dist <= options_.mine.d) ++ps.affected_nodes;
+    }
   }
-  GPAR_RETURN_NOT_OK(RefreshPass(affected_ptr, &ps));
+  GPAR_RETURN_NOT_OK(RefreshPass(&frontier, &ps));
   Accumulate(&lifetime_, ps);
   return ps;
 }
@@ -505,9 +549,11 @@ Result<MaintainStats> RuleMaintainer::ApplyDelta(const GraphDelta& delta) {
     // the rule set is already fresh.
     return MaintainStats{};
   }
-  std::shared_ptr<const Graph> old = graph_;
   auto next = std::make_shared<const Graph>(std::move(patch.graph));
-  return Advance(*old, std::move(next), patch.applied, patch.applied_deletes);
+  const DeltaFrontier frontier =
+      DeltaFrontier::Compute(*graph_, *next, patch.applied,
+                             patch.applied_deletes, options_.mine.d);
+  return Advance(std::move(next), frontier);
 }
 
 Result<MaintainStats> RuleMaintainer::ReplayJournal(

@@ -2,8 +2,8 @@
 #define GPAR_MAINTAIN_RULE_MAINTAINER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +12,7 @@
 #include "graph/graph_delta.h"
 #include "mine/dmine.h"
 #include "mine/mined_rule.h"
+#include "parallel/thread_pool.h"
 #include "rule/gpar.h"
 #include "rule/rule_evidence.h"
 #include "rule/rule_snapshot.h"
@@ -42,7 +43,7 @@ struct MaintainStats {
   uint64_t passes = 0;
   size_t edges_inserted = 0;  ///< applied mutations this pass
   size_t edges_deleted = 0;
-  /// Nodes in the delta-affected region (radius d) — the re-probe frontier.
+  /// Nodes within d hops of a touched edge (the delta-affected region).
   uint64_t affected_nodes = 0;
   uint64_t centers_reprobed = 0;  ///< pool memberships recomputed by matching
   uint64_t centers_carried = 0;   ///< pool memberships reused from evidence
@@ -77,15 +78,31 @@ struct MaintainStats {
 /// Each pass replays DMine's cheap discovery skeleton — seed alphabet,
 /// levelwise candidate generation, automorphism dedup, incDiv, reduction
 /// rules — but replaces the expensive part, match evaluation, with evidence
-/// patching: by the locality property (Section 5.1) a center's membership
-/// in a pattern of eval radius r depends only on G_r(center), so only
-/// centers within d hops of a touched edge (`DeltaAffectedRegion`) are
-/// re-probed; every other membership is carried from the previous pass's
-/// evidence. A candidate whose pattern has no prior evidence (a sigma
+/// patching. By the locality property (Section 5.1) a center's membership
+/// in a pattern of radius r depends only on G_r(center); the batch's
+/// `DeltaFrontier` narrows that further. A (pattern, center) membership is
+/// re-probed only when
+///  - the center is a member and a deleted edge whose label triple occurs
+///    in the pattern lies within r hops of it (pre-delete graph), or
+///  - the center is not a member and an inserted edge whose triple occurs
+///    in the pattern lies within r hops of it (patched graph), or
+///  - the center's q / ~q pool status flipped in this batch. Evidence
+///    sets only hold centers of the pool they were probed over (the ~q
+///    side is intersected with the ~q pool), so a center entering a pool
+///    has no evidence to carry even when its match did not change.
+/// Every other membership is carried from the previous pass's evidence.
+/// Pool status itself reads only a center's own out-edges with the q
+/// label, so only the sources of touched q-labelled edges are re-probed
+/// for it. A candidate whose pattern has no prior evidence (a sigma
 /// crossing upstream changed the lineage, or the seed alphabet shifted) is
 /// re-expanded locally: its pool is already restricted to its parent's
 /// fresh match set, so the full probe stays proportional to that rule, not
 /// the graph.
+///
+/// The probes of a round are independent given the previous rounds'
+/// evidence, so they fan out over a pool of `mine.num_workers` threads,
+/// one matcher per worker; entries are assembled in candidate order, so
+/// the evidence and top-k do not depend on the worker count.
 ///
 /// Not thread-safe: callers serialize passes (the servers run them under
 /// their writer lock).
@@ -115,13 +132,12 @@ class RuleMaintainer {
   Result<MaintainStats> ApplyDelta(const GraphDelta& delta);
 
   /// Serving hook: the caller (a server) already patched and swapped the
-  /// graph; run the maintenance pass from the applied mutations. `old_graph`
-  /// is the pre-delta graph (needed for the delete side of the affected
-  /// region); the maintainer adopts `new_graph` as current.
-  Result<MaintainStats> Advance(const Graph& old_graph,
-                                std::shared_ptr<const Graph> new_graph,
-                                std::span<const EdgeInsert> applied,
-                                std::span<const EdgeDelete> applied_deletes);
+  /// graph; run the maintenance pass over the batch's frontier, computed
+  /// from the pre-delta graph to `new_graph` at radius >= `mine.d` (a
+  /// smaller radius only costs re-probes). The maintainer adopts
+  /// `new_graph` as current.
+  Result<MaintainStats> Advance(std::shared_ptr<const Graph> new_graph,
+                                const DeltaFrontier& frontier);
 
   /// Replays every journal frame with sequence > `last_sequence()` through
   /// `ApplyDelta`, in order — snapshot + journal convergence for the
@@ -154,14 +170,18 @@ class RuleMaintainer {
   RuleMaintainer(std::shared_ptr<const Graph> g, const Predicate& q,
                  const MaintainOptions& options);
 
-  /// One maintenance pass on the current graph. `affected` maps node ->
-  /// min distance to a touched endpoint; nullptr = probe everything (the
-  /// seed pass and the incremental-off ablation).
-  Status RefreshPass(const std::unordered_map<NodeId, uint32_t>* affected,
-                     MaintainStats* ps);
+  /// One maintenance pass on the current graph, carrying every membership
+  /// `frontier` proves unchanged; nullptr = probe everything (the seed pass
+  /// and the incremental-off ablation).
+  Status RefreshPass(const DeltaFrontier* frontier, MaintainStats* ps);
   void RebuildIndex();
+  /// Runs fn(worker, task) for every task in [0, n), handing tasks out
+  /// dynamically over the pool (inline on worker 0 without one).
+  void RunTasks(size_t n, const std::function<void(uint32_t, size_t)>& fn);
 
   MaintainOptions options_;
+  /// Re-probe workers; null when `mine.num_workers` <= 1.
+  std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<const Graph> graph_;
   Predicate q_;
   Pattern pq_;    ///< P_q: x --q--> y

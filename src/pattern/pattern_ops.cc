@@ -37,6 +37,16 @@ bool IsConnected(const Pattern& p) {
   return Radius(p, 0) != kUnreachable;
 }
 
+EdgeBits FrontierBits(const DeltaFrontier& frontier, const Pattern& p) {
+  EdgeBits bits;
+  if (frontier.empty()) return bits;
+  for (const PatternEdge& e : p.edges()) {
+    bits |= frontier.BitsForTriple(p.node(e.src).label, e.label,
+                                   p.node(e.dst).label);
+  }
+  return bits;
+}
+
 uint64_t StructuralHash(const Pattern& p) {
   uint64_t h = kFnvOffsetBasis;
   for (PNodeId u = 0; u < p.num_nodes(); ++u) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/graph_delta.h"
 #include "pattern/pattern.h"
 
 namespace gpar {
@@ -20,6 +21,11 @@ uint32_t Radius(const Pattern& p, PNodeId from);
 
 /// True iff the pattern is connected (undirected reachability).
 bool IsConnected(const Pattern& p);
+
+/// The frontier bits of the touched edges a match of `p` can use: those
+/// whose (src label, edge label, dst label) triple is an edge triple of
+/// `p` (see DeltaFrontier).
+EdgeBits FrontierBits(const DeltaFrontier& frontier, const Pattern& p);
 
 /// FNV-1a mixing primitives shared by the pattern hashes (StructuralHash
 /// here, IsomorphismBucketHash in automorphism.h) and by callers that fold

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/timer.h"
 #include "match/guided.h"
+#include "pattern/pattern_ops.h"
 #include "rule/metrics.h"
 #include "serve/durability.h"
 
@@ -540,15 +540,18 @@ Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
   // published. Replay applies it, converging with the no-crash timeline.
   GPAR_FAILPOINT("serve.publish");
   auto new_graph = std::make_shared<const Graph>(std::move(patch.graph));
+  // One frontier per batch serves both the maintenance pass (mine.d <=
+  // max_d_, see EnableMaintenance) and the cache walk.
+  const DeltaFrontier frontier =
+      DeltaFrontier::Compute(*st->graph, *new_graph, patch.applied,
+                             patch.applied_deletes, InvalidationRadius(*st));
   std::shared_ptr<const RuleSet> new_rules;
   if (maintainer_ != nullptr) {
     // Maintain-on-ApplyDelta: run the maintenance pass between patching
     // and publishing, so queries observe the new graph together with the
     // rule set that is fresh for it.
-    GPAR_ASSIGN_OR_RETURN(
-        const MaintainStats ms,
-        maintainer_->Advance(*st->graph, new_graph, patch.applied,
-                             patch.applied_deletes));
+    GPAR_ASSIGN_OR_RETURN(const MaintainStats ms,
+                          maintainer_->Advance(new_graph, frontier));
     (void)ms;  // folded into maintain_stats()
     std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
     if (refreshed != st->rules->records) {
@@ -556,8 +559,8 @@ Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
       ds.rules_refreshed = 1;
     }
   }
-  SwapStateAndInvalidate(*st, std::move(new_graph), patch.applied,
-                         patch.applied_deletes, &ds, std::move(new_rules));
+  SwapStateAndInvalidate(*st, std::move(new_graph), frontier, &ds,
+                         std::move(new_rules));
   ds.seconds = timer.Seconds();
   return ds;
 }
@@ -612,8 +615,10 @@ Result<DeltaStats> RuleServer::ApplyShardDelta(
   ds.edges_inserted = delta.inserts.size();
   ds.edges_deleted = delta.deletes.size();
   if (!delta.inserts.empty() || !delta.deletes.empty()) {
-    SwapStateAndInvalidate(*st, std::move(new_graph), delta.inserts,
-                           delta.deletes, &ds);
+    const DeltaFrontier frontier =
+        DeltaFrontier::Compute(*st->graph, *new_graph, delta.inserts,
+                               delta.deletes, InvalidationRadius(*st));
+    SwapStateAndInvalidate(*st, std::move(new_graph), frontier, &ds);
   }
   if (delta.sequence != 0) shard_sequence_ = delta.sequence;
   ds.sequence = delta.sequence;
@@ -678,33 +683,37 @@ Status RuleServer::UpdateRulesLocked(std::vector<RuleRecord> rules) {
   // An empty set skips sigma validation on purpose: a maintained top-k can
   // die under deletes and the session keeps serving zero rules.
   DeltaStats ds;
-  SwapStateAndInvalidate(*st, st->graph, {}, {}, &ds,
+  SwapStateAndInvalidate(*st, st->graph, DeltaFrontier(), &ds,
                          BuildRuleSet(std::move(rules)));
   return Status::OK();
 }
 
+uint32_t RuleServer::InvalidationRadius(const State& st) const {
+  // Rule memberships go stale within d(R) hops, stored sketches within k.
+  return st.sketch_store.size() > 0 ? std::max(max_d_, options_.sketch_hops)
+                                    : max_d_;
+}
+
 void RuleServer::SwapStateAndInvalidate(
     const State& old, std::shared_ptr<const Graph> new_graph,
-    std::span<const EdgeInsert> applied, std::span<const EdgeDelete> deleted,
-    DeltaStats* ds, std::shared_ptr<const RuleSet> new_rules) {
+    const DeltaFrontier& frontier, DeltaStats* ds,
+    std::shared_ptr<const RuleSet> new_rules) {
   const bool rules_changed = new_rules != nullptr;
-  // q-class depends only on a node's own out-edges, so its invalidation
-  // frontier is the source nodes — of inserts and deletes alike.
-  std::unordered_set<NodeId> sources;
-  for (const EdgeInsert& e : applied) sources.insert(e.src);
-  for (const EdgeDelete& e : deleted) sources.insert(e.src);
-
-  // The delta-affected region (shared with the rule maintainer's evidence
-  // patching) to the largest radius any cached state can reach: rule
-  // memberships go stale within d(R) hops, stored sketches within k hops.
-  // Deletions make reach non-monotone, so the helper also sweeps the
-  // pre-delete graph and unions at minimum distance.
-  uint32_t rmax = max_d_;
-  if (old.sketch_store.size() > 0) {
-    rmax = std::max(rmax, options_.sketch_hops);
+  // A refresh that keeps sigma (same rules, same order) and moves only
+  // supp/conf keeps every cached bit's meaning: the cache survives it.
+  const bool sigma_changed =
+      rules_changed && new_rules->sigma != old.rules->sigma;
+  // q-class reads only a node's own out-edges with the q label, so its
+  // invalidation frontier is the sources of touched q-labelled edges.
+  std::vector<NodeId> sources;
+  for (const EdgeInsert& e : frontier.inserts()) {
+    if (e.label == q_.edge_label) sources.push_back(e.src);
   }
-  auto touched =
-      DeltaAffectedRegion(*old.graph, *new_graph, applied, deleted, rmax);
+  for (const EdgeDelete& e : frontier.deletes()) {
+    if (e.label == q_.edge_label) sources.push_back(e.src);
+  }
+  std::sort(sources.begin(), sources.end());
+  const auto& touched = frontier.region();
 
   auto next = std::make_shared<State>(options_.sketch_hops);
   next->epoch = old.epoch + 1;
@@ -783,7 +792,7 @@ void RuleServer::SwapStateAndInvalidate(
   // observes the new epoch also observes the fully built state above.
   epoch_.store(next->epoch, std::memory_order_release);
 
-  if (rules_changed) {
+  if (sigma_changed) {
     // Rule indices change meaning across rule sets, so a selective walk
     // could keep bit i of the old set alive as bit i of the new one — drop
     // the whole cache instead. The publish-then-clear order gives the same
@@ -804,7 +813,16 @@ void RuleServer::SwapStateAndInvalidate(
     return;
   }
 
+  // A cached bit goes only when the frontier can flip it (see
+  // DeltaFrontier): a member through a relevant delete within the rule's
+  // radius, a non-member through a relevant insert — for P_R (in_pr) and
+  // the antecedent's x-component (in_q) alike.
   const std::vector<Gpar>& sigma = next->rules->sigma;
+  std::vector<EdgeBits> pr_bits, q_bits;
+  for (const Gpar& r : sigma) {
+    pr_bits.push_back(FrontierBits(frontier, r.pr()));
+    q_bits.push_back(FrontierBits(frontier, r.x_component()));
+  }
   for (const auto& [v, dist] : touched) {
     CacheShard& sh = ShardFor(v);
     MutexLock lock(sh.mu);
@@ -812,13 +830,21 @@ void RuleServer::SwapStateAndInvalidate(
     if (cit == sh.map.end()) continue;
     CenterEntry& e = cit->second;
     for (size_t ri = 0; ri < sigma.size(); ++ri) {
-      if (dist <= sigma[ri].eval_radius() && GetBit(e.known, ri)) {
+      const uint32_t radius = sigma[ri].eval_radius();
+      if (dist > radius || !GetBit(e.known, ri)) continue;
+      const uint64_t ins = frontier.InsertsWithin(v, radius);
+      const uint64_t del = frontier.DeletesWithin(v, radius);
+      auto can_flip = [&](bool member, const EdgeBits& bits) {
+        return (member ? del & bits.deletes : ins & bits.inserts) != 0;
+      };
+      if (can_flip(GetBit(e.in_pr, ri), pr_bits[ri]) ||
+          can_flip(GetBit(e.in_q, ri), q_bits[ri])) {
         ClearBit(&e.known, ri);
         ++ds->memberships_invalidated;
       }
     }
-    // q-class depends only on v's own out-edges: only mutation sources move.
-    if ((e.qclass & kQKnown) != 0 && sources.count(v) > 0) {
+    if ((e.qclass & kQKnown) != 0 &&
+        std::binary_search(sources.begin(), sources.end(), v)) {
       e.qclass = 0;
       ++ds->qclass_invalidated;
     }

@@ -64,8 +64,9 @@ struct RuleServerOptions {
 /// Memberships are memoized in a lock-sharded LRU (rule, center) match
 /// cache. Edge deltas (`ApplyDelta`) publish a new immutable state
 /// snapshot (RCU style) and, by the paper's locality property (membership
-/// of v depends only on G_d(v)), invalidate only the cached memberships
-/// within d(R) hops of a touched endpoint — everything else stays warm.
+/// of v depends only on G_d(v)), invalidate only the cached memberships a
+/// touched edge within d(R) hops can flip (`DeltaFrontier`) — everything
+/// else stays warm.
 /// An `all_centers` query answers exactly like a fresh batch
 /// `IdentifyEntities` on the equivalent graph (the ServeEquivalence and
 /// ShardedServeEquivalence tests).
@@ -131,13 +132,12 @@ class RuleServer : public DurableSession {
 
   /// Applies a typed edge-mutation batch (deletes, then inserts): patches
   /// the CSR into a fresh state snapshot, refreshes stale shared sketches,
-  /// and invalidates cached memberships within d(R) hops of the touched
-  /// edges' endpoints (per rule R). Deleted edges make the walk
-  /// non-monotone — memberships can be LOST — so affected (rule, center)
-  /// entries are dropped and re-checked on their next query; the BFS runs
-  /// on the pre-delete graph as well as the patched one, because a center
-  /// whose only path to a deleted edge ran through that edge is out of
-  /// reach afterwards but still stale. Rejected on shard servers — shards
+  /// and invalidates the cached memberships the batch's `DeltaFrontier`
+  /// can flip: a cached member of rule R loses its bit only when a deleted
+  /// edge whose label triple occurs in R lies within d(R) hops on the
+  /// pre-delete graph, a cached non-member only when such an inserted edge
+  /// lies within d(R) hops on the patched graph. Dropped entries are
+  /// re-checked on their next query. Rejected on shard servers — shards
   /// take `ApplyShardDelta` from their router.
   Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
 
@@ -204,7 +204,9 @@ class RuleServer : public DurableSession {
   /// built for (the view only covers N_d of the owned centers at that
   /// radius). An empty set is allowed — a maintained top-k can die under
   /// deletes and the session must keep serving (zero rules match nothing).
-  /// Drops the whole match cache: rule indices change meaning.
+  /// Drops the whole match cache when the rules themselves change (rule
+  /// indices change meaning); a set with the same rules in the same order
+  /// and new supp/conf keeps it.
   Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
 
   // ---- Introspection ----
@@ -248,8 +250,8 @@ class RuleServer : public DurableSession {
     std::shared_ptr<const Graph> graph;
     /// The rule set this generation serves. Usually shared with the
     /// previous generation; a maintenance refresh (or `UpdateRules`)
-    /// publishes a new one, which also drops the whole match cache — rule
-    /// indices change meaning across rule sets.
+    /// publishes a new one, which also drops the whole match cache when
+    /// its rules differ — rule indices change meaning across rule sets.
     std::shared_ptr<const RuleSet> rules;
     /// Shard mode: sorted fragment membership + the view matchers run in.
     std::vector<NodeId> members;
@@ -323,18 +325,19 @@ class RuleServer : public DurableSession {
   void ReleaseCtx(const State& st, std::unique_ptr<WorkerCtx> ctx) const;
 
   std::shared_ptr<const State> AcquireState() const GPAR_EXCLUDES(state_mu_);
+  /// The frontier radius a batch needs: the deepest cached rule and, when
+  /// sketches are stored, the sketch radius.
+  uint32_t InvalidationRadius(const State& st) const;
   /// Builds + publishes the successor state for `new_graph`, then walks
-  /// the cache invalidating what the applied inserts and deletes can have
-  /// changed. The invalidation BFS runs on the new graph and — when there
-  /// are deletes — also on `old`'s graph, unioned at minimum distance.
+  /// the cache clearing only the bits `frontier` (the batch's, from
+  /// `old`'s graph to `new_graph`, at `InvalidationRadius`) can flip.
   /// `new_rules` non-null publishes a refreshed rule set with the new
-  /// generation and clears the whole match cache instead of the selective
-  /// invalidation walk; null keeps `old.rules` shared.
+  /// generation; when its sigma differs from the old one, the whole match
+  /// cache is cleared instead of walked (a supp/conf-only refresh keeps
+  /// it). Null keeps `old.rules` shared.
   void SwapStateAndInvalidate(const State& old,
                               std::shared_ptr<const Graph> new_graph,
-                              std::span<const EdgeInsert> applied,
-                              std::span<const EdgeDelete> applied_deletes,
-                              DeltaStats* ds,
+                              const DeltaFrontier& frontier, DeltaStats* ds,
                               std::shared_ptr<const RuleSet> new_rules =
                                   nullptr) GPAR_REQUIRES(writer_mu_);
 

@@ -585,10 +585,11 @@ Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
 Status ShardedRuleServer::MaintainAfterShip(
     const Graph& old_graph, std::shared_ptr<const Graph> new_graph,
     const GraphDelta& wire, DeltaStats* ds) {
-  GPAR_ASSIGN_OR_RETURN(
-      const MaintainStats ms,
-      maintainer_->Advance(old_graph, std::move(new_graph), wire.inserts,
-                           wire.deletes));
+  const DeltaFrontier frontier =
+      DeltaFrontier::Compute(old_graph, *new_graph, wire.inserts,
+                             wire.deletes, maintainer_->options().mine.d);
+  GPAR_ASSIGN_OR_RETURN(const MaintainStats ms,
+                        maintainer_->Advance(std::move(new_graph), frontier));
   (void)ms;  // folded into maintain_stats()
   return PublishRules(maintainer_->TopKRecords(), ds);
 }

@@ -15,6 +15,7 @@
 #include "graph/generator.h"
 #include "graph/graph_delta.h"
 #include "graph/stats.h"
+#include "match/matcher.h"
 #include "mine/dmine.h"
 #include "rule/rule_snapshot.h"
 #include "serve/delta_journal.h"
@@ -210,6 +211,124 @@ TEST(MaintainEquivalenceTest, IncrementalAblationIsResultIdentical) {
     EXPECT_GT(pa->centers_carried, 0u);
     EXPECT_EQ(pb->centers_carried, 0u);
   }
+}
+
+// The frontier's carry decisions against the ablation, at the evidence
+// level: after every pass the exported evidence (pools, every evaluated
+// candidate's match sets, evaluation order) must be byte-identical between
+// frontier on and off, at 1, 2 and 4 workers. The third batch applies more
+// than 64 edges a side, past the one-bit-per-edge range of the frontier
+// masks, where edges share bits.
+TEST(MaintainEquivalenceTest, FrontierEvidenceMatchesRemineAcrossWorkers) {
+  const size_t kChurn[] = {12, 30, 80, 20};
+  bool folded = false;
+  for (uint64_t seed : {3u, 8u}) {
+    auto g = std::make_shared<const Graph>(
+        MakeSynthetic(300, 900, 10, seed * 29));
+    Predicate q = PickQ(*g);
+    std::vector<std::unique_ptr<RuleMaintainer>> ms;
+    std::vector<std::string> names;
+    for (bool incremental : {true, false}) {
+      for (uint32_t workers : {1u, 2u, 4u}) {
+        MaintainOptions opt = SmallMaintain();
+        opt.enable_incremental_maintenance = incremental;
+        opt.mine.num_workers = workers;
+        auto m = RuleMaintainer::Seed(g, q, opt);
+        ASSERT_TRUE(m.ok()) << m.status();
+        ms.push_back(std::move(*m));
+        names.push_back(std::string(incremental ? "frontier" : "remine") +
+                        " x" + std::to_string(workers));
+      }
+    }
+    for (size_t b = 0; b < std::size(kChurn); ++b) {
+      GraphDelta d = MakeChurn(*ms[0]->graph(), q.edge_label,
+                               seed * 100 + b, kChurn[b]);
+      d.sequence = b + 1;
+      for (auto& m : ms) {
+        auto ps = m->ApplyDelta(d);
+        ASSERT_TRUE(ps.ok()) << ps.status();
+        folded = folded || ps->edges_inserted > 64;
+      }
+      for (size_t i = 1; i < ms.size(); ++i) {
+        EXPECT_TRUE(ms[i]->ExportEvidence() == ms[0]->ExportEvidence())
+            << names[i] << " vs " << names[0] << ", seed " << seed
+            << " batch " << b;
+        EXPECT_EQ(ms[i]->TopKRecords(), ms[0]->TopKRecords())
+            << names[i] << ", seed " << seed << " batch " << b;
+      }
+    }
+    ExpectMatchesDmine(*ms[0], "seed " + std::to_string(seed) + " end");
+  }
+  EXPECT_TRUE(folded) << "no batch applied more than 64 inserts";
+}
+
+// Pool-flip regression: the batch's only edge is a q-labelled out-edge of
+// a center to a node outside the consequent's label, which moves the
+// center into (and, in the second batch, out of) the ~q pool. No top-k
+// rule has that edge's label triple, so no pattern-side bit reaches the
+// center — yet its antecedent membership now counts toward supp(Q ∧ ~q).
+// The frontier must re-probe it because its pool status flipped.
+TEST(MaintainEquivalenceTest, PoolFlipOutsideEveryRuleTriple) {
+  size_t exercised = 0;
+  for (uint64_t seed = 1; seed <= 12 && exercised < 3; ++seed) {
+    auto g = std::make_shared<const Graph>(
+        MakeSynthetic(300, 900, 10, seed * 17));
+    Predicate q = PickQ(*g);
+    auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
+    ASSERT_TRUE(m.ok()) << m.status();
+    const auto& topk = (*m)->topk();
+    if (topk.empty()) continue;
+    auto triple_used = [&](LabelId dst_label) {
+      for (const auto& r : topk) {
+        const Pattern& p = r->rule.pr();
+        for (const PatternEdge& e : p.edges()) {
+          if (p.node(e.src).label == q.x_label && e.label == q.edge_label &&
+              p.node(e.dst).label == dst_label) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    // A target outside the consequent's label whose triple no rule uses.
+    NodeId z = kInvalidNode;
+    for (NodeId v = 0; v < g->num_nodes() && z == kInvalidNode; ++v) {
+      const LabelId l = g->node_label(v);
+      if (l != q.y_label && !triple_used(l)) z = v;
+    }
+    // A center outside both pools that matches some top-k antecedent.
+    NodeId c = kInvalidNode;
+    VF2Matcher matcher(*g);
+    for (NodeId v : g->nodes_with_label(q.x_label)) {
+      if (v == z || g->HasOutLabel(v, q.edge_label)) continue;
+      for (const auto& r : topk) {
+        if (matcher.ExistsAt(r->rule.x_component(), v)) {
+          c = v;
+          break;
+        }
+      }
+      if (c != kInvalidNode) break;
+    }
+    if (z == kInvalidNode || c == kInvalidNode) continue;
+    ++exercised;
+    const std::string what = "seed " + std::to_string(seed);
+
+    GraphDelta add;
+    add.sequence = 1;
+    add.inserts.push_back({c, q.edge_label, z});
+    const uint64_t qbar_before = (*m)->supp_qbar();
+    ASSERT_TRUE((*m)->ApplyDelta(add).ok());
+    EXPECT_EQ((*m)->supp_qbar(), qbar_before + 1) << what;
+    ExpectMatchesDmine(**m, what + ": center entered the ~q pool");
+
+    GraphDelta remove;
+    remove.sequence = 2;
+    remove.deletes.push_back({c, q.edge_label, z});
+    ASSERT_TRUE((*m)->ApplyDelta(remove).ok());
+    EXPECT_EQ((*m)->supp_qbar(), qbar_before) << what;
+    ExpectMatchesDmine(**m, what + ": center left the ~q pool");
+  }
+  EXPECT_GT(exercised, 0u) << "no seed offered a center to flip";
 }
 
 // Mid-stream checkpoint through the at-rest format: export the evidence as

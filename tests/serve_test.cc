@@ -206,7 +206,7 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
     EipResult batch_pr = BatchIdentify(w.graph, w.sigma, 0.5, true);
 
     std::vector<EdgeInsert> delta = MakeDelta(w.graph, seed * 977 + 5, 6);
-    auto patchref = PatchGraphWithInserts(w.graph, delta);
+    auto patchref = PatchGraph(w.graph, InsertBatch(delta));
     ASSERT_TRUE(patchref.ok());
     EipResult batch_patched =
         BatchIdentify(patchref->graph, w.sigma, 0.5, false);
@@ -347,7 +347,7 @@ TEST(ServeEquivalence, SnapshotLoadRoundTrip) {
 TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
   Workload w = MakeWorkload(5);
   std::vector<EdgeInsert> delta = MakeDelta(w.graph, 123, 10);
-  auto patchref = PatchGraphWithInserts(w.graph, delta);
+  auto patchref = PatchGraph(w.graph, InsertBatch(delta));
   ASSERT_TRUE(patchref.ok());
 
   auto live = RuleServer::Create(w.graph, w.records);
@@ -371,6 +371,52 @@ TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
 /// stream, checked against fresh batch mining at cold, warm, mid-stream,
 /// and final checkpoints, and against a from-scratch server on the final
 /// edge list.
+// A rule refresh that moves only supp/conf (same rules, same order) keeps
+// the match cache — bit i still means rule i — so the next identical query
+// is answered from it. A refresh that changes the rules — here only their
+// order — clears it. Both
+// answer like a fresh server on the refreshed set.
+TEST(ServeEquivalence, SupportOnlyRefreshKeepsCache) {
+  Workload w = MakeWorkload(4);
+  ASSERT_GE(w.records.size(), 2u);
+  auto live = RuleServer::Create(w.graph, w.records);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(QueryAll(**live, 0.5).ok());  // fills the cache
+  const size_t cached = (*live)->cached_centers();
+  ASSERT_GT(cached, 0u);
+
+  std::vector<RuleRecord> restated = w.records;
+  for (size_t i = 0; i < restated.size(); ++i) {
+    restated[i].supp = 10 + i;
+    restated[i].conf = 0.25 * static_cast<double>(i + 1);
+  }
+  ASSERT_TRUE((*live)->UpdateRules(restated).ok());
+  EXPECT_EQ((*live)->rules(), restated);
+  EXPECT_EQ((*live)->cached_centers(), cached);
+  auto warm = QueryAll(**live, 0.5);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(warm->stats.cache_probes, 0u) << "a cached membership was lost";
+  EXPECT_GT(warm->stats.cache_hits, 0u);
+  auto fresh = RuleServer::Create(w.graph, restated);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  auto want = QueryAll(**fresh, 0.5);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ExpectSameAnswer(*warm, *want, "supp/conf-only refresh");
+
+  // Same rules, new order: bit i now means another rule.
+  std::vector<RuleRecord> reordered(restated.rbegin(), restated.rend());
+  ASSERT_TRUE((*live)->UpdateRules(reordered).ok());
+  EXPECT_EQ((*live)->cached_centers(), 0u);
+  auto cold = QueryAll(**live, 0.5);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_GT(cold->stats.cache_probes, 0u);
+  auto fresh_reordered = RuleServer::Create(w.graph, reordered);
+  ASSERT_TRUE(fresh_reordered.ok()) << fresh_reordered.status();
+  auto want_reordered = QueryAll(**fresh_reordered, 0.5);
+  ASSERT_TRUE(want_reordered.ok()) << want_reordered.status();
+  ExpectSameAnswer(*cold, *want_reordered, "refresh that changes sigma");
+}
+
 TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
   constexpr int kBatches = 4;
   for (uint64_t seed = 0; seed < 6; ++seed) {

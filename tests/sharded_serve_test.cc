@@ -179,7 +179,7 @@ TEST(ShardedServeEquivalence, ColdWarmAndDeltaMatchSingleAndBatch) {
                      .inserts = MakeDelta(w.graph, seed * 977 + 5, 6),
                      .deletes = {},
                      .label_defs = {}};
-    auto patchref = PatchGraphWithInserts(w.graph, delta);
+    auto patchref = PatchGraph(w.graph, delta);
     ASSERT_TRUE(patchref.ok());
     EipResult batch_patched =
         BatchIdentify(patchref->graph, w.sigma, 0.5, false);

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -243,7 +244,9 @@ TEST(GraphDeltaTest, PatchedEqualsRebuilt) {
   }
   inserts.push_back({199, like, 0});
 
-  auto patch = PatchGraphWithInserts(g, inserts);
+  GraphDelta delta;
+  delta.inserts = inserts;
+  auto patch = PatchGraph(g, delta);
   ASSERT_TRUE(patch.ok()) << patch.status();
 
   // Reference: rebuild from scratch with the original edges + inserts.
@@ -351,34 +354,38 @@ TEST(GraphDeltaTest, MixedPatchEqualsRebuilt) {
   EXPECT_EQ(patch->edges_inserted, 2u);
   EXPECT_EQ(patch->duplicates, 1u);
 
-  // The three entry points agree where their domains overlap.
+  // The entry points agree where their domains overlap: an insert-only
+  // batch patches like its from-scratch rebuild.
   GraphDelta insert_only;
   insert_only.inserts = delta.inserts;
-  auto via_typed = PatchGraphWithInserts(g, insert_only);
-  auto via_span =
-      PatchGraphWithInserts(g, std::span<const EdgeInsert>(delta.inserts));
+  auto via_typed = PatchGraph(g, insert_only);
   ASSERT_TRUE(via_typed.ok());
-  ASSERT_TRUE(via_span.ok());
-  EXPECT_EQ(GraphBytes(via_typed->graph), GraphBytes(via_span->graph));
+  EXPECT_EQ(GraphBytes(via_typed->graph),
+            GraphBytes(RebuildWith(g, {}, delta.inserts)));
+}
+
+GraphDelta InsertOnly(std::vector<EdgeInsert> inserts) {
+  GraphDelta delta;
+  delta.inserts = std::move(inserts);
+  return delta;
 }
 
 TEST(GraphDeltaTest, ValidatesInserts) {
   Graph g = MakeSynthetic(10, 20, 3, 1);
   LabelId l = g.node_label(0);
   {
-    auto r = PatchGraphWithInserts(g, std::vector<EdgeInsert>{{99, l, 0}});
+    auto r = PatchGraph(g, InsertOnly({{99, l, 0}}));
     EXPECT_FALSE(r.ok());
   }
   {
     LabelId bogus = static_cast<LabelId>(g.labels().size() + 5);
-    auto r = PatchGraphWithInserts(g, std::vector<EdgeInsert>{{0, bogus, 1}});
+    auto r = PatchGraph(g, InsertOnly({{0, bogus, 1}}));
     EXPECT_FALSE(r.ok());
   }
   {  // all-duplicate batch: graph unchanged
     auto e = g.out_edges(0);
     if (!e.empty()) {
-      auto r = PatchGraphWithInserts(
-          g, std::vector<EdgeInsert>{{0, e[0].label, e[0].other}});
+      auto r = PatchGraph(g, InsertOnly({{0, e[0].label, e[0].other}}));
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r->edges_inserted, 0u);
       EXPECT_EQ(r->duplicates, 1u);
@@ -625,9 +632,10 @@ TEST(GraphDeltaTest, TypedPatchMatchesSpanPatch) {
   Graph g = MakeSynthetic(50, 120, 6, 3);
   GraphDelta delta;
   delta.inserts = {{0, g.node_label(1), 5}, {7, g.node_label(0), 3}};
-  auto a = PatchGraphWithInserts(g, delta);
-  auto b = PatchGraphWithInserts(
-      g, std::span<const EdgeInsert>(delta.inserts));
+  auto a = PatchGraph(g, delta);
+  // The same batch in reverse order: patching normalizes its input.
+  auto b = PatchGraph(
+      g, InsertOnly({delta.inserts.rbegin(), delta.inserts.rend()}));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(GraphBytes(a->graph), GraphBytes(b->graph));
@@ -652,6 +660,130 @@ TEST(GraphDeltaTest, RadiusBfsFindsLocalNodes) {
   std::vector<NodeId> both{0, 1};
   auto r = NodesWithinRadiusOfAny(g, both, 0);
   EXPECT_EQ(r.size(), 2u);
+}
+
+/// The affected region as first defined: every endpoint of every touched
+/// edge, searched on the patched graph and (with deletes) on the
+/// pre-delete graph, unioned at minimum distance, sorted by node id.
+std::vector<std::pair<NodeId, uint32_t>> EndpointBfsRegion(
+    const Graph& old_g, const GraphPatch& patch, uint32_t radius) {
+  std::vector<NodeId> endpoints;
+  for (const EdgeInsert& e : patch.applied) {
+    endpoints.push_back(e.src);
+    endpoints.push_back(e.dst);
+  }
+  for (const EdgeDelete& e : patch.applied_deletes) {
+    endpoints.push_back(e.src);
+    endpoints.push_back(e.dst);
+  }
+  std::map<NodeId, uint32_t> best;
+  auto fold = [&](const Graph& g) {
+    for (const auto& [v, d] : NodesWithinRadiusOfAny(g, endpoints, radius)) {
+      auto it = best.find(v);
+      if (it == best.end() || d < it->second) best[v] = d;
+    }
+  };
+  fold(patch.graph);
+  if (!patch.applied_deletes.empty()) fold(old_g);
+  return {best.begin(), best.end()};
+}
+
+// The frontier's region (and with it DeltaAffectedRegion) reaches inserts
+// on the patched graph and deletes on the pre-delete graph only; it must
+// still equal the all-endpoints-on-both-graphs definition, distances
+// included, for pure-insert, pure-delete and mixed batches.
+TEST(GraphDeltaTest, FrontierRegionMatchesEndpointBfs) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Graph g = MakeSynthetic(200, 500, 8, seed);
+    std::mt19937_64 rng(seed);
+    for (int kind = 0; kind < 3; ++kind) {
+      GraphDelta delta;
+      for (int i = 0; i < 6 && kind != 0; ++i) {
+        NodeId v = static_cast<NodeId>(rng() % g.num_nodes());
+        auto out = g.out_edges(v);
+        if (!out.empty()) {
+          const AdjEntry& e = out[rng() % out.size()];
+          delta.deletes.push_back({v, e.label, e.other});
+        }
+      }
+      for (int i = 0; i < 6 && kind != 1; ++i) {
+        const NodeId src = static_cast<NodeId>(rng() % g.num_nodes());
+        const NodeId dst = static_cast<NodeId>(rng() % g.num_nodes());
+        delta.inserts.push_back({src, g.node_label(0), dst});
+      }
+      auto patch = PatchGraph(g, delta);
+      ASSERT_TRUE(patch.ok()) << patch.status();
+      for (uint32_t radius = 0; radius <= 3; ++radius) {
+        const DeltaFrontier fr = DeltaFrontier::Compute(
+            g, patch->graph, patch->applied, patch->applied_deletes, radius);
+        EXPECT_EQ(fr.region(), EndpointBfsRegion(g, *patch, radius))
+            << "seed " << seed << " kind " << kind << " radius " << radius;
+      }
+    }
+  }
+}
+
+// Per-node bits on a path a0-b1-a2-b3-a4-b5 (edges i --e--> i+1): an
+// insert 0 --f--> 1 spreads on the patched graph, a delete of 4 --e--> 5
+// on the pre-delete graph, and only matching label triples select bits.
+TEST(GraphDeltaTest, FrontierBitsTrackReachAndTriples) {
+  GraphBuilder b;
+  for (int i = 0; i < 6; ++i) b.AddNode(i % 2 == 0 ? "a" : "b");
+  for (NodeId i = 0; i + 1 < 6; ++i) ASSERT_TRUE(b.AddEdge(i, "e", i + 1).ok());
+  Graph g = std::move(b).Build();
+  const LabelId a = g.labels().Lookup("a"), bl = g.labels().Lookup("b");
+  const LabelId e = g.labels().Lookup("e");
+  const LabelId f = g.mutable_labels()->Intern("f");
+  GraphDelta delta;
+  delta.inserts = {{0, f, 1}};
+  delta.deletes = {{4, e, 5}};
+  auto patch = PatchGraph(g, delta);
+  ASSERT_TRUE(patch.ok()) << patch.status();
+  const DeltaFrontier fr = DeltaFrontier::Compute(
+      g, patch->graph, patch->applied, patch->applied_deletes, 2);
+
+  EXPECT_EQ(fr.InsertsWithin(0, 0), 1u);
+  EXPECT_EQ(fr.InsertsWithin(2, 0), 0u);
+  EXPECT_EQ(fr.InsertsWithin(2, 1), 1u);
+  EXPECT_EQ(fr.InsertsWithin(3, 1), 0u);
+  EXPECT_EQ(fr.InsertsWithin(3, 2), 1u);
+  EXPECT_EQ(fr.DeletesWithin(3, 1), 1u);
+  EXPECT_EQ(fr.DeletesWithin(2, 1), 0u);
+  EXPECT_EQ(fr.DeletesWithin(2, 2), 1u);
+  // Node 5 lost its only edge, but it reached the deleted edge before.
+  EXPECT_EQ(fr.DeletesWithin(5, 0), 1u);
+  // Nothing is known past the radius.
+  EXPECT_EQ(fr.InsertsWithin(5, 3), ~uint64_t{0});
+
+  EXPECT_EQ(fr.BitsForTriple(a, f, bl).inserts, 1u);
+  EXPECT_EQ(fr.BitsForTriple(a, f, bl).deletes, 0u);
+  EXPECT_EQ(fr.BitsForTriple(a, e, bl).deletes, 1u);
+  EXPECT_EQ(fr.BitsForTriple(bl, e, a).deletes, 0u);
+  EXPECT_EQ(fr.BitsForTriple(a, e, bl).inserts, 0u);
+
+  // The empty frontier reads nothing anywhere.
+  const DeltaFrontier none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.InsertsWithin(0, 5), 0u);
+  EXPECT_TRUE(none.region().empty());
+}
+
+// Past 64 edges a side, edge i shares bit i mod 64: edge 64 reads as bit 0.
+TEST(GraphDeltaTest, FrontierFoldsEdgesPastSixtyFour) {
+  Graph g = MakeSynthetic(200, 300, 4, 9);
+  const LabelId fresh = g.mutable_labels()->Intern("fresh");
+  GraphDelta delta;
+  for (NodeId i = 0; i < 65; ++i) delta.inserts.push_back({i, fresh, i + 100});
+  auto patch = PatchGraph(g, delta);
+  ASSERT_TRUE(patch.ok()) << patch.status();
+  ASSERT_EQ(patch->applied.size(), 65u);
+  const DeltaFrontier fr = DeltaFrontier::Compute(
+      g, patch->graph, patch->applied, patch->applied_deletes, 1);
+  EXPECT_EQ(fr.InsertsWithin(64, 0) & 1u, 1u);
+  EXPECT_EQ(fr.InsertsWithin(164, 0) & 1u, 1u);
+  const EdgeBits bits =
+      fr.BitsForTriple(g.node_label(64), fresh, g.node_label(164));
+  EXPECT_EQ(bits.inserts & 1u, 1u);
 }
 
 // ---------------------------------------------------------------------------

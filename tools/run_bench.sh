@@ -34,8 +34,10 @@
 # shard loss.
 #
 # An eighth JSON report (MAINTENANCE_JSON) comes from a CI-sized
-# exp9_maintenance run: per-batch cost of the incremental RuleMaintainer
-# vs its re-probe-everything ablation (a sequential re-mine) on one
+# exp9_maintenance run: the headline is one pass of the incremental
+# RuleMaintainer vs one parallel Dmine on the final graph
+# (totals.speedup_vs_dmine over totals.dmine_final_s); secondary are its
+# re-probe-everything ablation (a re-mine per batch) on the same
 # interleaved insert+delete stream, the freshness lag of the maintained
 # top-k, and the match-set-delta evidence encoding's bytes vs the raw
 # full encoding.
@@ -133,7 +135,8 @@ else
   echo "warning: ${recovery_bin} not built; skipping ${recovery_out}" >&2
 fi
 
-# Incremental maintenance sweep (maintained vs re-mine cost, freshness lag).
+# Incremental maintenance sweep (maintain pass vs one parallel Dmine, vs
+# per-batch re-mine, freshness lag).
 maintenance_bin="${bin_dir}/exp9_maintenance"
 if [[ -x "${maintenance_bin}" ]]; then
   echo "== exp9_maintenance -> ${maintenance_out}" >&2
