@@ -197,22 +197,25 @@ struct EdgeBits {
   }
 };
 
-/// The label- and direction-aware re-probe frontier of one applied batch.
+/// The label-, direction- and hop-aware re-probe frontier of one applied
+/// batch.
 ///
-/// It refines the affected region (locality, Section 5.1) with two facts
-/// about a pattern P of radius r at x, for a center c:
+/// It refines the affected region (locality, Section 5.1) with three facts
+/// about a pattern P anchored at x, for a center c:
 ///  - c can GAIN a match only through an inserted edge whose (src label,
-///    edge label, dst label) triple is an edge triple of P and that lies
-///    within r hops of c on the patched graph — a new match avoiding every
-///    inserted edge was already a match before;
-///  - c can LOSE its matches only through such a deleted edge within r
-///    hops of c on the pre-delete graph — an old match avoiding every
-///    deleted edge survives.
+///    edge label, dst label) triple is the triple of some edge e of P — a
+///    new match avoiding every inserted edge was already a match before;
+///  - c can LOSE its matches only through such a deleted edge — an old
+///    match avoiding every deleted edge survives;
+///  - a match f with f(x) = c maps e onto a graph edge with an endpoint
+///    within h(e) hops of c, where h(e) is the undirected distance from x
+///    to e's nearer endpoint: on the patched graph for a gained match, on
+///    the pre-delete graph for a lost one.
 /// One bit-parallel multi-source BFS per side keeps, for each node and
 /// each radius <= `radius()`, the bits of the touched edges within reach:
 /// insert bits spread on the patched graph, delete bits on the pre-delete
-/// graph. Pattern-side bits come from `BitsForTriple` (pattern_ops's
-/// `FrontierBits` folds them over a pattern's edges).
+/// graph. Pattern-side bits come from `BitsForTriple`; pattern_ops's
+/// `PatternFrontier` pairs them with h(e) and decides a membership.
 ///
 /// Edge i of a side owns bit i mod 64. Past 64 edges per side, edges share
 /// bits, which only adds re-probes: a membership is carried when no bit is

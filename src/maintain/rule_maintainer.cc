@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -94,27 +95,24 @@ struct alignas(64) ProbeCounts {
 /// Evaluates pattern `p` over the sorted `pool`, appending the matching
 /// centers to `out`. With evidence (`old_set`, the pattern's previous
 /// match set, non-null only alongside `frontier`), a center is carried
-/// unless the frontier can flip it within p's radius: a member needs a
-/// relevant delete within reach, a non-member a relevant insert, and a
-/// center whose pool status flipped (`flipped`, sorted) has no evidence.
+/// unless the frontier can flip it (`PatternFrontier::Reach`: a member
+/// needs a relevant delete, a non-member a relevant insert, each within
+/// its pattern edge's hop), and a center whose pool status flipped
+/// (`flipped`, sorted) has no evidence.
 void ProbePool(VF2Matcher& matcher, const Pattern& p,
                std::span<const NodeId> pool,
                const std::vector<NodeId>* old_set,
                const DeltaFrontier* frontier,
                const std::vector<NodeId>& flipped, std::vector<NodeId>* out,
                ProbeCounts* counts) {
-  const uint32_t radius = Radius(p, p.x());
-  const EdgeBits bits =
-      old_set != nullptr ? FrontierBits(*frontier, p) : EdgeBits{};
+  std::optional<PatternFrontier> reach;
+  if (old_set != nullptr) reach.emplace(*frontier, p);
   size_t j = 0;  // cursor into old_set: both lists are sorted
   for (NodeId c : pool) {
     if (old_set != nullptr) {
       while (j < old_set->size() && (*old_set)[j] < c) ++j;
       const bool was = j < old_set->size() && (*old_set)[j] == c;
-      const uint64_t reach =
-          was ? frontier->DeletesWithin(c, radius) & bits.deletes
-              : frontier->InsertsWithin(c, radius) & bits.inserts;
-      if (reach == 0 &&
+      if (reach->Reach(c, was) == 0 &&
           !std::binary_search(flipped.begin(), flipped.end(), c)) {
         ++counts->carried;
         if (was) out->push_back(c);
@@ -306,7 +304,7 @@ Status RuleMaintainer::RefreshPass(const DeltaFrontier* frontier,
 
   const double n_norm =
       static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
-  IncDiv incdiv(mo.k, mo.lambda, n_norm);
+  IncDiv incdiv(mo.k, mo.lambda, n_norm, next.q_pool);
   std::vector<std::shared_ptr<MinedRule>> sigma;
   std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
   const std::vector<EdgePatternStat> seeds =

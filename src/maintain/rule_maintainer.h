@@ -25,9 +25,8 @@ struct MaintainOptions {
   /// refresh pass replays DMine's discovery skeleton under these exact
   /// parameters (the maintained output is DEFINED as what `Dmine` would
   /// return on the current graph), so they are fixed at construction and
-  /// persisted with the evidence. `num_workers` is irrelevant here — DMine
-  /// results are worker-count-independent and the maintainer patches
-  /// sequentially.
+  /// persisted with the evidence. `num_workers` sizes the re-probe pool
+  /// only: DMine results, and so the maintained set, do not depend on it.
   DmineOptions mine;
   /// The subsystem's own ablation flag: off = every pass re-probes every
   /// pool center from scratch (a sequential re-mine — the "remine" baseline
@@ -80,12 +79,13 @@ struct MaintainStats {
 /// rules — but replaces the expensive part, match evaluation, with evidence
 /// patching. By the locality property (Section 5.1) a center's membership
 /// in a pattern of radius r depends only on G_r(center); the batch's
-/// `DeltaFrontier` narrows that further. A (pattern, center) membership is
-/// re-probed only when
-///  - the center is a member and a deleted edge whose label triple occurs
-///    in the pattern lies within r hops of it (pre-delete graph), or
-///  - the center is not a member and an inserted edge whose triple occurs
-///    in the pattern lies within r hops of it (patched graph), or
+/// `DeltaFrontier` narrows that to single pattern edges. For pattern edge
+/// e, h(e) is the distance from x to e's nearer endpoint (h(e) < r). A
+/// (pattern, center) membership is re-probed only when
+///  - the center is a member and a deleted edge with the label triple of
+///    some pattern edge e lies within h(e) hops of it (pre-delete graph),
+///  - the center is not a member and an inserted edge with the triple of
+///    some pattern edge e lies within h(e) hops of it (patched graph), or
 ///  - the center's q / ~q pool status flipped in this batch. Evidence
 ///    sets only hold centers of the pool they were probed over (the ~q
 ///    side is intersected with the ~q pool), so a center entering a pool

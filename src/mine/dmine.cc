@@ -311,7 +311,14 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   const double n_norm =
       static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
 
-  IncDiv incdiv(options.k, options.lambda, n_norm);
+  // incDiv ranks match sets over P_q(x, G), gathered from the workers.
+  std::vector<NodeId> q_pool;
+  q_pool.reserve(supp_q);
+  for (const WorkerState& w : workers) {
+    for (uint32_t c : w.q_centers) q_pool.push_back(w.frag->centers[c]);
+  }
+  std::sort(q_pool.begin(), q_pool.end());
+  IncDiv incdiv(options.k, options.lambda, n_norm, std::move(q_pool));
   std::vector<std::shared_ptr<MinedRule>> sigma;  // Σ
   std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
 

@@ -8,12 +8,27 @@
 
 namespace gpar {
 
-IncDiv::IncDiv(uint32_t k, double lambda, double n_norm)
-    : k_(k), lambda_(lambda), n_norm_(n_norm), max_pairs_((k + 1) / 2) {}
+IncDiv::IncDiv(uint32_t k, double lambda, double n_norm,
+               std::vector<NodeId> q_pool)
+    : k_(k),
+      lambda_(lambda),
+      n_norm_(n_norm),
+      max_pairs_((k + 1) / 2),
+      q_pool_(std::move(q_pool)) {}
 
 double IncDiv::PairFPrime(const MinedRule& a, const MinedRule& b) const {
-  double diff = JaccardDistance(a.matches, b.matches);
+  double diff = BitsetJaccardDistance(match_bits_.at(&a), a.matches.size(),
+                                      match_bits_.at(&b), b.matches.size());
   return FPrime(a.conf, b.conf, diff, lambda_, n_norm_, k_);
+}
+
+void IncDiv::RankMatches(
+    const std::vector<std::shared_ptr<MinedRule>>& sigma) {
+  for (const auto& r : sigma) {
+    if (match_bits_.count(r.get()) == 0) {
+      match_bits_.emplace(r.get(), RankBits(r->matches, q_pool_));
+    }
+  }
 }
 
 bool IncDiv::UsedInQueue(const MinedRule* r) const {
@@ -24,11 +39,13 @@ bool IncDiv::InQueue(const MinedRule* rule) const { return UsedInQueue(rule); }
 
 void IncDiv::AddRound(const std::vector<std::shared_ptr<MinedRule>>& delta,
                       const std::vector<std::shared_ptr<MinedRule>>& sigma) {
+  RankMatches(sigma);
   // Phase 1 — fill: while the queue holds < ⌈k/2⌉ pairs, greedily insert
   // the disjoint pair maximizing F'; at least one member must be new. Each
-  // unordered pair is scored exactly once (PairFPrime runs a Jaccard merge,
-  // the dominant cost): a both-new pair {a, b} is visited only from the
-  // earlier of a, b in ΔE, and the Σ-only fallback iterates i < j.
+  // unordered pair is scored exactly once (PairFPrime, a popcount over the
+  // ranked match sets, is the dominant cost): a both-new pair {a, b} is
+  // visited only from the earlier of a, b in ΔE, and the Σ-only fallback
+  // iterates i < j.
   std::unordered_map<const MinedRule*, size_t> delta_idx;
   delta_idx.reserve(delta.size());
   for (size_t i = 0; i < delta.size(); ++i) delta_idx.emplace(delta[i].get(), i);

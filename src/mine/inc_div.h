@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -20,9 +21,18 @@ namespace gpar {
 /// is never recomputed from scratch.
 ///
 /// Rules are owned by the caller (DMine's Σ, stable `shared_ptr`s).
+///
+/// Pair distances are popcounts: every P_R match is a q-match, so each
+/// rule's match set is held as `RankBits` over the sorted q pool, and
+/// diff(R, R') costs ⌈supp_q/64⌉ words instead of a merge of both match
+/// lists. The counts are the merge's, so every F' — and with it the queue
+/// and the top-k — is bit-identical to the `JaccardDistance` form.
 class IncDiv {
  public:
-  IncDiv(uint32_t k, double lambda, double n_norm);
+  /// `q_pool`: the sorted q-match centers P_q(x, G), a superset of every
+  /// offered rule's `matches`.
+  IncDiv(uint32_t k, double lambda, double n_norm,
+         std::vector<NodeId> q_pool);
 
   /// Offers one round of newly accepted rules. `sigma` is the full pool Σ
   /// (including `delta`); pruned rules are skipped as pair partners.
@@ -55,6 +65,8 @@ class IncDiv {
   };
 
   double PairFPrime(const MinedRule& a, const MinedRule& b) const;
+  /// Ranks the match set of every rule of `sigma` not seen before.
+  void RankMatches(const std::vector<std::shared_ptr<MinedRule>>& sigma);
   bool UsedInQueue(const MinedRule* r) const;
 
   uint32_t k_;
@@ -66,6 +78,9 @@ class IncDiv {
   /// tests run inside AddRound's O(|σ|²) pair scans, so they must be O(1),
   /// not a walk over the queue.
   std::unordered_set<const MinedRule*> in_queue_;
+  std::vector<NodeId> q_pool_;
+  /// Each offered rule's match set as RankBits over `q_pool_`.
+  std::unordered_map<const MinedRule*, std::vector<uint64_t>> match_bits_;
 };
 
 /// Non-incremental greedy diversification over a full pool ("discover and

@@ -37,14 +37,25 @@ bool IsConnected(const Pattern& p) {
   return Radius(p, 0) != kUnreachable;
 }
 
-EdgeBits FrontierBits(const DeltaFrontier& frontier, const Pattern& p) {
-  EdgeBits bits;
-  if (frontier.empty()) return bits;
+PatternFrontier::PatternFrontier(const DeltaFrontier& frontier,
+                                 const Pattern& p)
+    : frontier_(&frontier) {
+  if (frontier.empty()) return;
+  const std::vector<uint32_t> dist = DistancesFrom(p, p.x());
   for (const PatternEdge& e : p.edges()) {
-    bits |= frontier.BitsForTriple(p.node(e.src).label, e.label,
-                                   p.node(e.dst).label);
+    const EdgeBits bits = frontier.BitsForTriple(
+        p.node(e.src).label, e.label, p.node(e.dst).label);
+    if (bits.inserts == 0 && bits.deletes == 0) continue;
+    // kUnreachable off x's component: past any radius, so all ones.
+    const uint32_t hop = std::min(dist[e.src], dist[e.dst]);
+    auto it = std::find_if(hops_.begin(), hops_.end(),
+                           [hop](const Hop& h) { return h.hop == hop; });
+    if (it == hops_.end()) {
+      hops_.push_back({hop, bits});
+    } else {
+      it->bits |= bits;
+    }
   }
-  return bits;
 }
 
 uint64_t StructuralHash(const Pattern& p) {

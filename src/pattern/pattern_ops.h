@@ -22,10 +22,45 @@ uint32_t Radius(const Pattern& p, PNodeId from);
 /// True iff the pattern is connected (undirected reachability).
 bool IsConnected(const Pattern& p);
 
-/// The frontier bits of the touched edges a match of `p` can use: those
-/// whose (src label, edge label, dst label) triple is an edge triple of
-/// `p` (see DeltaFrontier).
-EdgeBits FrontierBits(const DeltaFrontier& frontier, const Pattern& p);
+/// The touched edges of one batch that can flip a center's membership in
+/// `p` (anchored at p's x), by hop. For a pattern edge e, h(e) is the
+/// undirected distance from x to e's nearer endpoint. A match f with
+/// f(x) = c maps e onto a graph edge with an endpoint within h(e) hops of
+/// c, on the graph the match lives in — the patched graph for a match that
+/// uses an inserted edge, the pre-delete graph for one that loses a deleted
+/// edge. So a touched edge can flip c only when its (src label, edge
+/// label, dst label) triple is the triple of some pattern edge e and it
+/// lies within h(e) hops of c. An edge off x's component has no such
+/// bound: it sits past the frontier's radius, where lookups read all ones.
+///
+/// The maintainer's re-probe loop and the serving cache walk both decide
+/// with `Reach`.
+class PatternFrontier {
+ public:
+  PatternFrontier(const DeltaFrontier& frontier, const Pattern& p);
+
+  /// Bits of the touched edges that can flip c's membership: relevant
+  /// deletes for a member, relevant inserts for a non-member. Zero proves
+  /// the membership unchanged by the batch.
+  uint64_t Reach(NodeId c, bool member) const {
+    uint64_t reach = 0;
+    for (const Hop& h : hops_) {
+      reach |= member ? frontier_->DeletesWithin(c, h.hop) & h.bits.deletes
+                      : frontier_->InsertsWithin(c, h.hop) & h.bits.inserts;
+    }
+    return reach;
+  }
+
+ private:
+  struct Hop {
+    uint32_t hop;
+    EdgeBits bits;
+  };
+
+  const DeltaFrontier* frontier_;
+  /// One entry per distinct hop with relevant touched edges.
+  std::vector<Hop> hops_;
+};
 
 /// FNV-1a mixing primitives shared by the pattern hashes (StructuralHash
 /// here, IsomorphismBucketHash in automorphism.h) and by callers that fold

@@ -1,6 +1,8 @@
 #include "rule/diversity.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 
 namespace gpar {
@@ -22,6 +24,30 @@ double JaccardDistance(const std::vector<NodeId>& a_sorted,
     }
   }
   size_t uni = a_sorted.size() + b_sorted.size() - inter;
+  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+std::vector<uint64_t> RankBits(const std::vector<NodeId>& sorted_set,
+                               const std::vector<NodeId>& universe) {
+  std::vector<uint64_t> bits;
+  auto from = universe.begin();
+  for (NodeId v : sorted_set) {
+    from = std::lower_bound(from, universe.end(), v);
+    assert(from != universe.end() && *from == v);
+    const size_t i = static_cast<size_t>(from - universe.begin());
+    if (bits.size() <= i / 64) bits.resize(i / 64 + 1, 0);
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return bits;
+}
+
+double BitsetJaccardDistance(const std::vector<uint64_t>& a, size_t a_size,
+                             const std::vector<uint64_t>& b, size_t b_size) {
+  if (a_size == 0 && b_size == 0) return 0;
+  size_t inter = 0;
+  const size_t words = std::min(a.size(), b.size());
+  for (size_t w = 0; w < words; ++w) inter += std::popcount(a[w] & b[w]);
+  const size_t uni = a_size + b_size - inter;
   return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
 }
 

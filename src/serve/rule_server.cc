@@ -85,6 +85,9 @@ Result<std::unique_ptr<RuleServer>> RuleServer::CreateShard(
 
 Status RuleServer::Init(std::shared_ptr<const Graph> g,
                         std::vector<NodeId> members) {
+  // Uncontended, like `state_mu_` below: it guards the rule-set
+  // generation counter BuildRuleSet bumps.
+  MutexLock writer(writer_mu_);
   std::shared_ptr<const RuleSet> rules =
       BuildRuleSet(std::move(initial_records_));
   auto info = ValidateSigma(rules->sigma);
@@ -134,6 +137,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
 std::shared_ptr<const RuleServer::RuleSet> RuleServer::BuildRuleSet(
     std::vector<RuleRecord> records) {
   auto rs = std::make_shared<RuleSet>();
+  rs->generation = ++rule_generation_;
   rs->records = std::move(records);
   rs->sigma.reserve(rs->records.size());
   for (const RuleRecord& r : rs->records) rs->sigma.push_back(r.rule);
@@ -282,11 +286,40 @@ void RuleServer::EvaluateItem(const State& st, WorkerCtx& ctx,
   }
 }
 
+void RuleServer::EvaluateItems(const State& st,
+                               std::vector<WorkItem>& items) {
+  if (items.empty()) return;
+  const uint32_t m = static_cast<uint32_t>(
+      std::min<size_t>(options_.num_workers, items.size()));
+  std::vector<std::unique_ptr<WorkerCtx>> ctxs(m);
+  for (auto& c : ctxs) c = AcquireCtx(st);
+  ParallelFor(pool_, m, [this, &st, &items, &ctxs, m](uint32_t w) {
+    const size_t begin = items.size() * w / m;
+    const size_t end = items.size() * (w + 1) / m;
+    for (size_t i = begin; i < end; ++i) {
+      EvaluateItem(st, *ctxs[w], items[i]);
+    }
+  });
+  for (auto& c : ctxs) ReleaseCtx(st, std::move(c));
+}
+
+void RuleServer::StoreItem(const WorkItem& item, CenterEntry* e) {
+  e->qclass = item.qclass_out;
+  for (size_t w = 0; w < item.probed.size(); ++w) {
+    // Probed bits overwrite (an invalidated bit may hold a stale value);
+    // the rest keep their cached values.
+    e->in_q[w] = (e->in_q[w] & ~item.probed[w]) | item.in_q[w];
+    e->in_pr[w] = (e->in_pr[w] & ~item.probed[w]) | item.in_pr[w];
+    e->known[w] |= item.probed[w];
+  }
+}
+
 Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
                               const std::vector<uint32_t>& selected,
                               std::unordered_map<NodeId, Row>* rows,
                               ServeStats* stats) {
   const size_t words = rule_words(*st.rules);
+  const uint64_t generation = st.rules->generation;
   std::vector<WorkItem> items;
 
   for (NodeId c : centers) {
@@ -305,14 +338,9 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
       CacheShard& sh = ShardFor(c);
       MutexLock lock(sh.mu);
       auto cit = sh.map.find(c);
-      if (cit != sh.map.end() && cit->second.known.size() != words) {
-        // Defensive: an entry written under a different rule-set geometry
-        // (a racing rule refresh) is meaningless here — treat as a miss.
-        sh.lru.erase(cit->second.lru_it);
-        sh.map.erase(cit);
-        cit = sh.map.end();
-      }
-      if (cit != sh.map.end()) {
+      // An entry of another rule-set generation (a refresh raced this
+      // request) indexes its bits by other rules: a miss.
+      if (cit != sh.map.end() && cit->second.generation == generation) {
         CenterEntry& e = cit->second;
         qclass = e.qclass;
         for (uint32_t ri : selected) {
@@ -343,21 +371,8 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
     items.push_back(std::move(item));
   }
 
-  if (!items.empty()) {
-    stats->centers_evaluated += items.size();
-    const uint32_t m = static_cast<uint32_t>(
-        std::min<size_t>(options_.num_workers, items.size()));
-    std::vector<std::unique_ptr<WorkerCtx>> ctxs(m);
-    for (auto& c : ctxs) c = AcquireCtx(st);
-    ParallelFor(pool_, m, [this, &st, &items, &ctxs, m](uint32_t w) {
-      const size_t begin = items.size() * w / m;
-      const size_t end = items.size() * (w + 1) / m;
-      for (size_t i = begin; i < end; ++i) {
-        EvaluateItem(st, *ctxs[w], items[i]);
-      }
-    });
-    for (auto& c : ctxs) ReleaseCtx(st, std::move(c));
-  }
+  stats->centers_evaluated += items.size();
+  EvaluateItems(st, items);
 
   const size_t shard_cap =
       std::max<size_t>(max_cached_centers(*st.rules) / num_cache_shards_, 1);
@@ -372,34 +387,25 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
     CacheShard& sh = ShardFor(item.center);
     MutexLock lock(sh.mu);
     // Write back only results computed on the CURRENT epoch. A delta
-    // publishes the new epoch BEFORE its invalidation walk, so a stale
-    // reader either inserts before the walk (and gets invalidated by it)
-    // or sees the new epoch here and skips — stale memberships can never
-    // outlive the walk.
+    // bumps the epoch BEFORE its invalidation walk, so a stale reader
+    // either inserts before the walk (and gets invalidated by it) or sees
+    // the new epoch here and skips — stale memberships can never outlive
+    // the walk.
     if (epoch_.load(std::memory_order_acquire) != st.epoch) continue;
     auto [cit, inserted] = sh.map.try_emplace(item.center);
     CenterEntry& e = cit->second;
+    // An entry met here is of this request's generation: a refresh remaps
+    // every entry before it publishes, and the epoch check above admits
+    // only requests on the published state.
     if (inserted) {
+      e.generation = generation;
       e.known.assign(words, 0);
       e.in_q.assign(words, 0);
       e.in_pr.assign(words, 0);
       sh.lru.push_front(item.center);
       e.lru_it = sh.lru.begin();
-    } else if (e.known.size() != words) {
-      // Same defensive geometry guard as the read side.
-      e.qclass = 0;
-      e.known.assign(words, 0);
-      e.in_q.assign(words, 0);
-      e.in_pr.assign(words, 0);
     }
-    e.qclass = item.qclass_out;
-    for (size_t w = 0; w < words; ++w) {
-      // Probed bits overwrite (an invalidated bit may hold a stale value);
-      // the rest keep their cached values.
-      e.in_q[w] = (e.in_q[w] & ~item.probed[w]) | item.in_q[w];
-      e.in_pr[w] = (e.in_pr[w] & ~item.probed[w]) | item.in_pr[w];
-      e.known[w] |= item.probed[w];
-    }
+    StoreItem(item, &e);
     sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);
     while (sh.map.size() > shard_cap) {
       NodeId victim = sh.lru.back();
@@ -651,15 +657,17 @@ Status RuleServer::EnableMaintenance(const MaintainOptions& options) {
   // Every rule the maintainer will ever emit has eval radius <= mine.d, so
   // widening the invalidation radius once up front covers all refreshes.
   max_d_ = std::max(max_d_, std::max<uint32_t>(options.mine.d, 1));
-  return UpdateRulesLocked(maintainer_->TopKRecords());
+  return UpdateRulesLocked(maintainer_->TopKRecords(), nullptr);
 }
 
-Status RuleServer::UpdateRules(std::vector<RuleRecord> rules) {
+Status RuleServer::UpdateRules(std::vector<RuleRecord> rules,
+                               DeltaStats* stats) {
   MutexLock writer(writer_mu_);
-  return UpdateRulesLocked(std::move(rules));
+  return UpdateRulesLocked(std::move(rules), stats);
 }
 
-Status RuleServer::UpdateRulesLocked(std::vector<RuleRecord> rules) {
+Status RuleServer::UpdateRulesLocked(std::vector<RuleRecord> rules,
+                                     DeltaStats* stats) {
   const std::shared_ptr<const State> st = AcquireState();
   if (rules == st->rules->records) return Status::OK();
   if (!rules.empty()) {
@@ -685,6 +693,7 @@ Status RuleServer::UpdateRulesLocked(std::vector<RuleRecord> rules) {
   DeltaStats ds;
   SwapStateAndInvalidate(*st, st->graph, DeltaFrontier(), &ds,
                          BuildRuleSet(std::move(rules)));
+  if (stats != nullptr) *stats = ds;
   return Status::OK();
 }
 
@@ -699,10 +708,6 @@ void RuleServer::SwapStateAndInvalidate(
     const DeltaFrontier& frontier, DeltaStats* ds,
     std::shared_ptr<const RuleSet> new_rules) {
   const bool rules_changed = new_rules != nullptr;
-  // A refresh that keeps sigma (same rules, same order) and moves only
-  // supp/conf keeps every cached bit's meaning: the cache survives it.
-  const bool sigma_changed =
-      rules_changed && new_rules->sigma != old.rules->sigma;
   // q-class reads only a node's own out-edges with the q label, so its
   // invalidation frontier is the sources of touched q-labelled edges.
   std::vector<NodeId> sources;
@@ -781,47 +786,28 @@ void RuleServer::SwapStateAndInvalidate(
     ds->sketches_refreshed = next->sketch_store.Refresh(*next->graph, refresh);
   }
 
-  // Publish the state, THEN the epoch, THEN invalidate: readers that
-  // slipped a stale writeback past the epoch check did so before the store
-  // below, hence before this walk, which then clears it (see EnsureRows).
-  {
-    MutexLock lock(state_mu_);
-    state_ = next;
-  }
-  // Release: pairs with the acquire load in EnsureRows — a reader that
-  // observes the new epoch also observes the fully built state above.
+  // Bump the epoch, THEN walk the cache, THEN publish the state. From the
+  // bump on, readers of the old state no longer write back (see
+  // EnsureRows): one that slipped a writeback past the epoch check did so
+  // under a shard lock the walk takes after it, so the walk clears it. And
+  // no reader holds the new state before the walk is done, so none can
+  // read a bit the walk is about to clear or remap.
   epoch_.store(next->epoch, std::memory_order_release);
 
-  if (sigma_changed) {
-    // Rule indices change meaning across rule sets, so a selective walk
-    // could keep bit i of the old set alive as bit i of the new one — drop
-    // the whole cache instead. The publish-then-clear order gives the same
-    // guarantee as the selective walk: a stale writeback either landed
-    // before this clear (and dies here) or saw the new epoch and skipped.
-    for (uint32_t i = 0; i < num_cache_shards_; ++i) {
-      CacheShard& sh = cache_shards_[i];
-      MutexLock lock(sh.mu);
-      for (const auto& [v, e] : sh.map) {
-        for (uint64_t w : e.known) {
-          ds->memberships_invalidated += std::popcount(w);
-        }
-        if ((e.qclass & kQKnown) != 0) ++ds->qclass_invalidated;
-      }
-      sh.map.clear();
-      sh.lru.clear();
-    }
-    return;
-  }
-
-  // A cached bit goes only when the frontier can flip it (see
-  // DeltaFrontier): a member through a relevant delete within the rule's
-  // radius, a non-member through a relevant insert — for P_R (in_pr) and
-  // the antecedent's x-component (in_q) alike.
   const std::vector<Gpar>& sigma = next->rules->sigma;
-  std::vector<EdgeBits> pr_bits, q_bits;
+  std::vector<uint32_t> entering;
+  if (rules_changed) entering = RemapCache(*old.rules, *next->rules);
+
+  // A cached bit goes only when the frontier can flip it
+  // (`PatternFrontier::Reach`: a member through a relevant delete, a
+  // non-member through a relevant insert, each within its pattern edge's
+  // hop) — for P_R (in_pr) and the antecedent's x-component (in_q) alike.
+  // P_R and the x-component are connected, so nothing outside the region
+  // can be reached.
+  std::vector<PatternFrontier> pr_reach, q_reach;
   for (const Gpar& r : sigma) {
-    pr_bits.push_back(FrontierBits(frontier, r.pr()));
-    q_bits.push_back(FrontierBits(frontier, r.x_component()));
+    pr_reach.emplace_back(frontier, r.pr());
+    q_reach.emplace_back(frontier, r.x_component());
   }
   for (const auto& [v, dist] : touched) {
     CacheShard& sh = ShardFor(v);
@@ -830,15 +816,9 @@ void RuleServer::SwapStateAndInvalidate(
     if (cit == sh.map.end()) continue;
     CenterEntry& e = cit->second;
     for (size_t ri = 0; ri < sigma.size(); ++ri) {
-      const uint32_t radius = sigma[ri].eval_radius();
-      if (dist > radius || !GetBit(e.known, ri)) continue;
-      const uint64_t ins = frontier.InsertsWithin(v, radius);
-      const uint64_t del = frontier.DeletesWithin(v, radius);
-      auto can_flip = [&](bool member, const EdgeBits& bits) {
-        return (member ? del & bits.deletes : ins & bits.inserts) != 0;
-      };
-      if (can_flip(GetBit(e.in_pr, ri), pr_bits[ri]) ||
-          can_flip(GetBit(e.in_q, ri), q_bits[ri])) {
+      if (!GetBit(e.known, ri)) continue;
+      if (pr_reach[ri].Reach(v, GetBit(e.in_pr, ri)) != 0 ||
+          q_reach[ri].Reach(v, GetBit(e.in_q, ri)) != 0) {
         ClearBit(&e.known, ri);
         ++ds->memberships_invalidated;
       }
@@ -853,6 +833,88 @@ void RuleServer::SwapStateAndInvalidate(
     if (!any_known) {
       sh.lru.erase(e.lru_it);
       sh.map.erase(cit);
+    }
+  }
+  {
+    MutexLock lock(state_mu_);
+    state_ = next;
+  }
+  if (!entering.empty()) RefillRules(*next, entering, ds);
+}
+
+std::vector<uint32_t> RuleServer::RemapCache(const RuleSet& from,
+                                             const RuleSet& to) {
+  // Bit j of `to` takes the bit of the same rule (Gpar equality) in
+  // `from`; rules entering the set start unknown.
+  constexpr uint32_t kEntering = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> source(to.sigma.size(), kEntering);
+  std::vector<uint32_t> entering;
+  for (size_t j = 0; j < to.sigma.size(); ++j) {
+    auto it = std::find(from.sigma.begin(), from.sigma.end(), to.sigma[j]);
+    if (it != from.sigma.end()) {
+      source[j] = static_cast<uint32_t>(it - from.sigma.begin());
+    } else {
+      entering.push_back(static_cast<uint32_t>(j));
+    }
+  }
+  const size_t words = rule_words(to);
+  // Scratch rows; copy-assigning them reuses each entry's storage.
+  std::vector<uint64_t> known(words), in_q(words), in_pr(words);
+  for (uint32_t i = 0; i < num_cache_shards_; ++i) {
+    CacheShard& sh = cache_shards_[i];
+    MutexLock lock(sh.mu);
+    // Every entry is of `from`: requests write back only at the current
+    // epoch, and the epoch moved past `from`'s state before this walk.
+    for (auto& [v, e] : sh.map) {
+      std::fill(known.begin(), known.end(), 0);
+      std::fill(in_q.begin(), in_q.end(), 0);
+      std::fill(in_pr.begin(), in_pr.end(), 0);
+      for (size_t j = 0; j < source.size(); ++j) {
+        const uint32_t f = source[j];
+        if (f == kEntering || !GetBit(e.known, f)) continue;
+        SetBit(&known, j);
+        if (GetBit(e.in_q, f)) SetBit(&in_q, j);
+        if (GetBit(e.in_pr, f)) SetBit(&in_pr, j);
+      }
+      e.known = known;
+      e.in_q = in_q;
+      e.in_pr = in_pr;
+      e.generation = to.generation;
+    }
+  }
+  return entering;
+}
+
+void RuleServer::RefillRules(const State& st,
+                             const std::vector<uint32_t>& rules,
+                             DeltaStats* ds) {
+  const size_t words = rule_words(*st.rules);
+  // One cache shard at a time, so the work items never outnumber a shard.
+  for (uint32_t i = 0; i < num_cache_shards_; ++i) {
+    CacheShard& sh = cache_shards_[i];
+    std::vector<WorkItem> items;
+    {
+      MutexLock lock(sh.mu);
+      for (const auto& [v, e] : sh.map) {
+        WorkItem item;
+        item.center = v;
+        item.rules = rules;
+        item.qclass_in = e.qclass;
+        item.in_q.assign(words, 0);
+        item.in_pr.assign(words, 0);
+        item.probed.assign(words, 0);
+        items.push_back(std::move(item));
+      }
+    }
+    // The probes a query would run for these bits, on the published
+    // state, so a cached center's next query stays all hits.
+    EvaluateItems(st, items);
+    MutexLock lock(sh.mu);
+    for (const WorkItem& item : items) {
+      auto cit = sh.map.find(item.center);
+      if (cit == sh.map.end()) continue;  // evicted meanwhile
+      StoreItem(item, &cit->second);
+      ds->memberships_refilled += item.rules.size();
     }
   }
 }

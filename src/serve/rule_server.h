@@ -65,8 +65,11 @@ struct RuleServerOptions {
 /// cache. Edge deltas (`ApplyDelta`) publish a new immutable state
 /// snapshot (RCU style) and, by the paper's locality property (membership
 /// of v depends only on G_d(v)), invalidate only the cached memberships a
-/// touched edge within d(R) hops can flip (`DeltaFrontier`) — everything
-/// else stays warm.
+/// touched edge can flip (`PatternFrontier`: an edge with the label triple
+/// of a pattern edge e, within e's hop from v) — everything else stays
+/// warm. Rule-set refreshes keep the cache too: each cached center's bits
+/// follow their rule to its new index, and the bits of rules entering the
+/// set are probed for the cached centers before the refresh returns.
 /// An `all_centers` query answers exactly like a fresh batch
 /// `IdentifyEntities` on the equivalent graph (the ServeEquivalence and
 /// ShardedServeEquivalence tests).
@@ -134,11 +137,12 @@ class RuleServer : public DurableSession {
   /// the CSR into a fresh state snapshot, refreshes stale shared sketches,
   /// and invalidates the cached memberships the batch's `DeltaFrontier`
   /// can flip: a cached member of rule R loses its bit only when a deleted
-  /// edge whose label triple occurs in R lies within d(R) hops on the
-  /// pre-delete graph, a cached non-member only when such an inserted edge
-  /// lies within d(R) hops on the patched graph. Dropped entries are
-  /// re-checked on their next query. Rejected on shard servers — shards
-  /// take `ApplyShardDelta` from their router.
+  /// edge with the label triple of some edge e of R lies within h(e) hops
+  /// on the pre-delete graph (h(e): e's nearer endpoint's distance from
+  /// x), a cached non-member only when such an inserted edge does on the
+  /// patched graph. Dropped entries are re-checked on their next query.
+  /// Rejected on shard servers — shards take `ApplyShardDelta` from their
+  /// router.
   Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
 
   /// Rejected on shard servers — the router journals.
@@ -204,10 +208,12 @@ class RuleServer : public DurableSession {
   /// built for (the view only covers N_d of the owned centers at that
   /// radius). An empty set is allowed — a maintained top-k can die under
   /// deletes and the session must keep serving (zero rules match nothing).
-  /// Drops the whole match cache when the rules themselves change (rule
-  /// indices change meaning); a set with the same rules in the same order
-  /// and new supp/conf keeps it.
-  Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
+  /// Keeps the match cache: cached bits follow their rule (by `Gpar`
+  /// equality) to its new index, and the rules entering the set are probed
+  /// for every cached center before this returns
+  /// (`DeltaStats::memberships_refilled`, reported through `stats`).
+  Status UpdateRules(std::vector<RuleRecord> rules,
+                     DeltaStats* stats = nullptr) GPAR_EXCLUDES(writer_mu_);
 
   // ---- Introspection ----
 
@@ -231,6 +237,9 @@ class RuleServer : public DurableSession {
   /// queries keep matching against the records/sigma they selected rules
   /// from, never a half-replaced set.
   struct RuleSet {
+    /// Distinct per built set (see `rule_generation_`); cache entries carry
+    /// the generation their bits are indexed by.
+    uint64_t generation = 0;
     std::vector<RuleRecord> records;
     std::vector<Gpar> sigma;  ///< records[i].rule, stable storage for evaluators
     std::vector<char> all_ok;  ///< constant 1s handed to evaluators
@@ -250,8 +259,9 @@ class RuleServer : public DurableSession {
     std::shared_ptr<const Graph> graph;
     /// The rule set this generation serves. Usually shared with the
     /// previous generation; a maintenance refresh (or `UpdateRules`)
-    /// publishes a new one, which also drops the whole match cache when
-    /// its rules differ — rule indices change meaning across rule sets.
+    /// publishes a new one. Rule indices change meaning across rule sets,
+    /// so the publishing writer remaps the cached bits to the new indices
+    /// (readers pinned to the other set see remapped entries as misses).
     std::shared_ptr<const RuleSet> rules;
     /// Shard mode: sorted fragment membership + the view matchers run in.
     std::vector<NodeId> members;
@@ -265,10 +275,14 @@ class RuleServer : public DurableSession {
         GPAR_GUARDED_BY(ctx_mu);
   };
 
-  /// Cached per-center state; rule memberships are bitsets over the loaded
-  /// rule set (in_q is RAW antecedent membership — other-component
-  /// satisfiability is applied at read time, so a flip never invalidates).
+  /// Cached per-center state; rule memberships are bitsets over the rule
+  /// set of `generation` (in_q is RAW antecedent membership —
+  /// other-component satisfiability is applied at read time, so a flip
+  /// never invalidates). A refresh remaps every entry before it publishes
+  /// the new set, so only requests pinned to the previous set meet an
+  /// entry of another generation; they treat it as a miss.
   struct CenterEntry {
+    uint64_t generation = 0;
     uint8_t qclass = 0;  // bit0 known, bit1 is_q, bit2 is_qbar
     std::vector<uint64_t> known, in_q, in_pr;
     std::list<NodeId>::iterator lru_it;
@@ -311,13 +325,14 @@ class RuleServer : public DurableSession {
       GPAR_REQUIRES(writer_mu_);
   Status ReplayLocked(const GraphDelta& frame) override
       GPAR_REQUIRES(writer_mu_);
-  Status UpdateRulesLocked(std::vector<RuleRecord> rules)
+  Status UpdateRulesLocked(std::vector<RuleRecord> rules, DeltaStats* stats)
       GPAR_REQUIRES(writer_mu_);
   /// Derives the per-rule state (sigma storage, other-component flag) for a
-  /// record set. Validation (non-empty sets keep q and respect the radius
-  /// bound) happens in the callers — see UpdateRules.
-  static std::shared_ptr<const RuleSet> BuildRuleSet(
-      std::vector<RuleRecord> records);
+  /// record set and stamps the next generation. Validation (non-empty sets
+  /// keep q and respect the radius bound) happens in the callers — see
+  /// UpdateRules.
+  std::shared_ptr<const RuleSet> BuildRuleSet(std::vector<RuleRecord> records)
+      GPAR_REQUIRES(writer_mu_);
   void PreparePlans(SearchPlanStore* store, const RuleSet& rules) const;
   void PrecomputeSketches(State* st) const;
   std::unique_ptr<WorkerCtx> BuildCtx(const State& st) const;
@@ -332,14 +347,23 @@ class RuleServer : public DurableSession {
   /// the cache clearing only the bits `frontier` (the batch's, from
   /// `old`'s graph to `new_graph`, at `InvalidationRadius`) can flip.
   /// `new_rules` non-null publishes a refreshed rule set with the new
-  /// generation; when its sigma differs from the old one, the whole match
-  /// cache is cleared instead of walked (a supp/conf-only refresh keeps
-  /// it). Null keeps `old.rules` shared.
+  /// generation: the cache is remapped to it before the walk and its
+  /// entering rules refilled after. Null keeps `old.rules` shared.
   void SwapStateAndInvalidate(const State& old,
                               std::shared_ptr<const Graph> new_graph,
                               const DeltaFrontier& frontier, DeltaStats* ds,
                               std::shared_ptr<const RuleSet> new_rules =
                                   nullptr) GPAR_REQUIRES(writer_mu_);
+
+  /// Re-indexes every cached entry from `from` to `to`: a bit follows its
+  /// rule (Gpar equality). Returns the indices of the rules new in `to`,
+  /// whose bits start unknown.
+  std::vector<uint32_t> RemapCache(const RuleSet& from, const RuleSet& to)
+      GPAR_REQUIRES(writer_mu_);
+  /// Probes `rules` (indices into `st.rules`) for every cached center, on
+  /// `st`, and stores the bits.
+  void RefillRules(const State& st, const std::vector<uint32_t>& rules,
+                   DeltaStats* ds) GPAR_REQUIRES(writer_mu_);
 
   static size_t rule_words(const RuleSet& rules) noexcept {
     return (rules.sigma.size() + 63) / 64;
@@ -355,6 +379,10 @@ class RuleServer : public DurableSession {
                     std::unordered_map<NodeId, Row>* rows, ServeStats* stats);
 
   void EvaluateItem(const State& st, WorkerCtx& ctx, WorkItem& item) const;
+  /// Evaluates `items` on `st`, spread over the session's pool.
+  void EvaluateItems(const State& st, std::vector<WorkItem>& items);
+  /// Merges an evaluated item's probed bits and q-class into its entry.
+  static void StoreItem(const WorkItem& item, CenterEntry* e);
 
   RuleServerOptions options_;
   bool is_shard_ = false;
@@ -374,15 +402,19 @@ class RuleServer : public DurableSession {
 
   mutable Mutex state_mu_;  ///< guards the `state_` pointer only
   std::shared_ptr<const State> state_ GPAR_GUARDED_BY(state_mu_);
-  /// Epoch of the newest published state. A query writes its results back
-  /// into the cache only if this still equals its state's epoch (checked
-  /// under the cache-shard lock), so a reader that outlived a delta can
-  /// never resurrect stale memberships after the invalidation walk.
+  /// Epoch of the newest state, bumped before that state's cache walk and
+  /// publish. A query writes its results back into the cache only if this
+  /// still equals its state's epoch (checked under the cache-shard lock),
+  /// so a reader that outlived a delta can never resurrect stale
+  /// memberships after the invalidation walk.
   std::atomic<uint64_t> epoch_{0};
   /// Shard mode: sequence of the last applied batch. Retried ships of an
   /// already-applied frame are recognized here and become no-ops, so a
   /// router retry can never double-apply a delta.
   uint64_t shard_sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
+  /// Source of `RuleSet::generation`. Every rule set is built under
+  /// `writer_mu_` (Init takes it too), so a plain counter suffices.
+  uint64_t rule_generation_ GPAR_GUARDED_BY(writer_mu_) = 0;
 
   uint32_t num_cache_shards_ = 1;
   std::unique_ptr<CacheShard[]> cache_shards_;

@@ -87,6 +87,9 @@ struct DeltaStats {
   /// `EdgeDelete`), plus repeated deletes of the same edge.
   size_t deletes_missing = 0;
   uint64_t memberships_invalidated = 0;  ///< known (rule, center) bits cleared
+  /// Rule-set refreshes: (rule, center) bits of the rules entering the set,
+  /// probed for the cached centers before the refresh returned.
+  uint64_t memberships_refilled = 0;
   uint64_t qclass_invalidated = 0;
   uint64_t sketches_refreshed = 0;
   uint64_t members_extended = 0;  ///< shard mode: nodes pulled into the view

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "graph/paper_graphs.h"
 #include "match/matcher.h"
@@ -44,7 +45,7 @@ class IncDivTest : public ::testing::Test {
 
 TEST_F(IncDivTest, Example9RoundOne) {
   // Round 1: ΔE = {R5, R6}; queue fills with the pair (R5, R6), F' = 0.92.
-  IncDiv inc(/*k=*/2, /*lambda=*/0.5, n_norm_);
+  IncDiv inc(/*k=*/2, /*lambda=*/0.5, n_norm_, stats_.q_matches);
   auto r5 = MakeRule(g1_.r5, m_, stats_);
   auto r6 = MakeRule(g1_.r6, m_, stats_);
   std::vector<std::shared_ptr<MinedRule>> delta{r5, r6};
@@ -63,7 +64,7 @@ TEST_F(IncDivTest, Example9RoundTwoReplacesTheQueuePair) {
   // current queue (R5, R6) are not available as partners (queue pairs are
   // pairwise disjoint), so R7's best partner is R8 with F'(R7, R8) = 1.08 >
   // F'(R5, R6) = 0.92 — the pair is replaced and L_k becomes {R7, R8}.
-  IncDiv inc(2, 0.5, n_norm_);
+  IncDiv inc(2, 0.5, n_norm_, stats_.q_matches);
   auto r5 = MakeRule(g1_.r5, m_, stats_);
   auto r6 = MakeRule(g1_.r6, m_, stats_);
   auto r7 = MakeRule(g1_.r7, m_, stats_);
@@ -88,7 +89,7 @@ TEST_F(IncDivTest, Example9RoundTwoReplacesTheQueuePair) {
 }
 
 TEST_F(IncDivTest, QueueNotFullMeansNoPruningThreshold) {
-  IncDiv inc(6, 0.5, n_norm_);  // needs 3 pairs
+  IncDiv inc(6, 0.5, n_norm_, stats_.q_matches);  // needs 3 pairs
   auto r5 = MakeRule(g1_.r5, m_, stats_);
   auto r6 = MakeRule(g1_.r6, m_, stats_);
   std::vector<std::shared_ptr<MinedRule>> sigma{r5, r6};
@@ -101,7 +102,7 @@ TEST_F(IncDivTest, DegenerateNormalizerStillRanksByDiversity) {
   // must still fill and rank pairs by the diversity term — and everything
   // stays finite (the old FPrime returned a flat 0 here, collapsing the
   // ranking; worse, inf confidences could surface NaN).
-  IncDiv inc(2, 0.5, /*n_norm=*/0.0);
+  IncDiv inc(2, 0.5, /*n_norm=*/0.0, stats_.q_matches);
   auto r5 = MakeRule(g1_.r5, m_, stats_);
   auto r6 = MakeRule(g1_.r6, m_, stats_);
   auto r8 = MakeRule(g1_.r8, m_, stats_);
@@ -119,7 +120,7 @@ TEST_F(IncDivTest, DegenerateNormalizerStillRanksByDiversity) {
 }
 
 TEST_F(IncDivTest, PrunedRulesAreNotPaired) {
-  IncDiv inc(2, 0.5, n_norm_);
+  IncDiv inc(2, 0.5, n_norm_, stats_.q_matches);
   auto r5 = MakeRule(g1_.r5, m_, stats_);
   auto r6 = MakeRule(g1_.r6, m_, stats_);
   r5->pruned = true;
@@ -146,6 +147,32 @@ TEST_F(IncDivTest, FullDiversifyMatchesGreedyChoice) {
   EXPECT_NEAR(FPrime(topk[0]->conf, topk[1]->conf, diff, 0.5, n_norm_, 2),
               1.1, 1e-12);
   (void)conf_sum;
+}
+
+// The popcount distance incDiv scores pairs with equals the sorted merge
+// bit for bit, empty sets and sets ending in different words included.
+TEST_F(IncDivTest, BitsetDistanceMatchesMerge) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<NodeId> universe;
+    const size_t n = rng() % 300;
+    for (NodeId v = 0; universe.size() < n; ++v) {
+      if (rng() % 3 == 0) universe.push_back(v);
+    }
+    auto subset = [&] {
+      std::vector<NodeId> s;
+      const uint32_t keep = rng() % 5;  // 0: always empty
+      for (NodeId v : universe) {
+        if (rng() % 4 < keep) s.push_back(v);
+      }
+      return s;
+    };
+    const std::vector<NodeId> a = subset(), b = subset();
+    const double bits = BitsetJaccardDistance(
+        RankBits(a, universe), a.size(), RankBits(b, universe), b.size());
+    EXPECT_EQ(bits, JaccardDistance(a, b)) << "trial " << trial;
+  }
+  EXPECT_EQ(BitsetJaccardDistance({}, 0, {}, 0), JaccardDistance({}, {}));
 }
 
 class ReductionTest : public IncDivTest {};

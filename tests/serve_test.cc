@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generator.h"
@@ -367,14 +369,9 @@ TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
   ExpectSameAnswer(*a, *b, "delta-maintained vs fresh");
 }
 
-/// The insert+delete acceptance battery: a randomized interleaved mutation
-/// stream, checked against fresh batch mining at cold, warm, mid-stream,
-/// and final checkpoints, and against a from-scratch server on the final
-/// edge list.
-// A rule refresh that moves only supp/conf (same rules, same order) keeps
-// the match cache — bit i still means rule i — so the next identical query
-// is answered from it. A refresh that changes the rules — here only their
-// order — clears it. Both
+// A rule refresh keeps the match cache: a cached bit follows its rule to
+// its new index. One that moves only supp/conf, and one that only reorders
+// the rules, both leave the next identical query all hits, and both
 // answer like a fresh server on the refreshed set.
 TEST(ServeEquivalence, SupportOnlyRefreshKeepsCache) {
   Workload w = MakeWorkload(4);
@@ -403,20 +400,148 @@ TEST(ServeEquivalence, SupportOnlyRefreshKeepsCache) {
   ASSERT_TRUE(want.ok()) << want.status();
   ExpectSameAnswer(*warm, *want, "supp/conf-only refresh");
 
-  // Same rules, new order: bit i now means another rule.
+  // Same rules, new order: bit i now means another rule, so every cached
+  // bit moves with its rule and nothing needs a probe.
   std::vector<RuleRecord> reordered(restated.rbegin(), restated.rend());
-  ASSERT_TRUE((*live)->UpdateRules(reordered).ok());
-  EXPECT_EQ((*live)->cached_centers(), 0u);
-  auto cold = QueryAll(**live, 0.5);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_GT(cold->stats.cache_probes, 0u);
+  DeltaStats ds;
+  ASSERT_TRUE((*live)->UpdateRules(reordered, &ds).ok());
+  EXPECT_EQ(ds.memberships_refilled, 0u);
+  EXPECT_EQ((*live)->cached_centers(), cached);
+  auto moved = QueryAll(**live, 0.5);
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  EXPECT_EQ(moved->stats.cache_probes, 0u) << "a reordered bit was lost";
   auto fresh_reordered = RuleServer::Create(w.graph, reordered);
   ASSERT_TRUE(fresh_reordered.ok()) << fresh_reordered.status();
   auto want_reordered = QueryAll(**fresh_reordered, 0.5);
   ASSERT_TRUE(want_reordered.ok()) << want_reordered.status();
-  ExpectSameAnswer(*cold, *want_reordered, "refresh that changes sigma");
+  ExpectSameAnswer(*moved, *want_reordered, "refresh that changes sigma");
 }
 
+// A refresh that replaces one rule probes the entering rule for every
+// cached center before it returns, so the next all-centers query is all
+// hits — and answers like a fresh server on the new set.
+TEST(ServeEquivalence, RuleReplacementRefillsCache) {
+  for (uint64_t seed : {1u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Workload w = MakeWorkload(seed);
+    ASSERT_GE(w.records.size(), 3u);
+    const std::vector<RuleRecord> before(w.records.begin(),
+                                         w.records.end() - 1);
+    std::vector<RuleRecord> after = before;
+    after[1] = w.records.back();  // rule 1 leaves, the last rule enters
+    auto live = RuleServer::Create(w.graph, before);
+    ASSERT_TRUE(live.ok()) << live.status();
+    ASSERT_TRUE(QueryAll(**live, 0.5).ok());  // fills the cache
+    const size_t cached = (*live)->cached_centers();
+    ASSERT_GT(cached, 0u);
+
+    DeltaStats ds;
+    ASSERT_TRUE((*live)->UpdateRules(after, &ds).ok());
+    EXPECT_EQ(ds.memberships_refilled, cached * 1);
+    EXPECT_EQ((*live)->cached_centers(), cached);
+    auto got = QueryAll(**live, 0.5);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->stats.cache_probes, 0u);
+    auto fresh = RuleServer::Create(w.graph, after);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    auto want = QueryAll(**fresh, 0.5);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ExpectSameAnswer(*got, *want, "one rule replaced");
+  }
+}
+
+// Readers query all centers while a writer alternates two rule sets with
+// UpdateRules and inserts / deletes a q-edge with ApplyDelta in between.
+// Every reply must be the answer of a fresh server on the rule set it
+// reports (named by its rule count), on one of the two graphs — never a
+// mix of rule sets or of graphs.
+TEST(ServeConcurrency, ReadersSeeWholeRuleSetsAcrossRefreshes) {
+  Workload w = MakeWorkload(1);
+  ASSERT_GE(w.records.size(), 3u);
+  const std::vector<RuleRecord> set_a(w.records.begin(), w.records.end() - 1);
+  const std::vector<RuleRecord> set_b{w.records.back(), w.records[1],
+                                      w.records[0]};
+  ASSERT_NE(set_a.size(), set_b.size());
+
+  RuleServerOptions opt;
+  opt.num_workers = 2;
+  auto live = RuleServer::Create(w.graph, set_a, opt);
+  ASSERT_TRUE(live.ok()) << live.status();
+  RuleServer& s = **live;
+  // A candidate without a q-edge gains one: its q-class flips, and with it
+  // the supports of the reply.
+  const Predicate q = s.predicate();
+  GraphDelta add, remove;
+  for (NodeId c : s.candidates()) {
+    if (!w.graph.HasOutLabel(c, q.edge_label)) {
+      add.inserts = {{c, q.edge_label, w.graph.nodes_with_label(q.y_label)[0]}};
+      break;
+    }
+  }
+  ASSERT_FALSE(add.inserts.empty());
+  remove.deletes = {{add.inserts[0].src, add.inserts[0].label,
+                     add.inserts[0].dst}};
+  auto patched = PatchGraph(w.graph, add);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+
+  auto want_of = [&](const Graph& g, const std::vector<RuleRecord>& set) {
+    auto fresh = RuleServer::Create(g, set);
+    EXPECT_TRUE(fresh.ok()) << fresh.status();
+    auto r = QueryAll(**fresh, 0.5);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return std::move(r).value();
+  };
+  const SessionReply want[2][2] = {
+      {want_of(w.graph, set_a), want_of(patched->graph, set_a)},
+      {want_of(w.graph, set_b), want_of(patched->graph, set_b)}};
+  ASSERT_NE(want[0][0].supp_q, want[0][1].supp_q);
+  auto same = [](const SessionReply& got, const SessionReply& ref) {
+    if (got.entities != ref.entities || got.supp_q != ref.supp_q ||
+        got.supp_qbar != ref.supp_qbar ||
+        got.rule_evals.size() != ref.rule_evals.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < ref.rule_evals.size(); ++i) {
+      if (got.rule_evals[i].supp_r != ref.rule_evals[i].supp_r ||
+          got.rule_evals[i].supp_qqbar != ref.rule_evals[i].supp_qqbar) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      // At least two replies each, so some overlap the refreshes.
+      for (int n = 0; n < 2 || !done.load(); ++n) {
+        auto r = QueryAll(s, 0.5);
+        if (!r.ok()) {
+          ADD_FAILURE() << r.status();
+          return;
+        }
+        const int set = r->rule_evals.size() == set_a.size() ? 0 : 1;
+        EXPECT_TRUE(same(*r, want[set][0]) || same(*r, want[set][1]))
+            << "a reply mixes rule sets or graphs (set " << set << ")";
+      }
+    });
+  }
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_TRUE(s.UpdateRules(i % 2 == 0 ? set_b : set_a).ok());
+    EXPECT_TRUE(s.ApplyDelta(i % 2 == 0 ? add : remove).ok());
+  }
+  done = true;
+  for (std::thread& t : readers) t.join();
+  auto last = QueryAll(s, 0.5);
+  ASSERT_TRUE(last.ok()) << last.status();
+  ExpectSameAnswer(*last, want[0][0], "after the last refresh");
+}
+
+/// The insert+delete acceptance battery: a randomized interleaved mutation
+/// stream, checked against fresh batch mining at cold, warm, mid-stream,
+/// and final checkpoints, and against a from-scratch server on the final
+/// edge list.
 TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
   constexpr int kBatches = 4;
   for (uint64_t seed = 0; seed < 6; ++seed) {

@@ -14,6 +14,7 @@
 #include "graph/graph_io.h"
 #include "graph/graph_snapshot.h"
 #include "graph/paper_graphs.h"
+#include "pattern/pattern_ops.h"
 #include "rule/rule_snapshot.h"
 
 namespace gpar {
@@ -760,6 +761,42 @@ TEST(GraphDeltaTest, FrontierBitsTrackReachAndTriples) {
   EXPECT_EQ(fr.BitsForTriple(a, e, bl).deletes, 1u);
   EXPECT_EQ(fr.BitsForTriple(bl, e, a).deletes, 0u);
   EXPECT_EQ(fr.BitsForTriple(a, e, bl).inserts, 0u);
+
+  // Per-hop bits: x(a) -e-> b -e-> a puts (a, e, b) at hop 0 and (b, e, a)
+  // at hop 1. The deleted 4 -e-> 5 is an (a, e, b) edge, so it can unmake
+  // a match only at an endpoint: member 4 is reached, member 2 (two hops
+  // away, inside the pattern's radius) is not.
+  Pattern path;
+  {
+    const PNodeId x = path.AddNode(a), m = path.AddNode(bl);
+    path.AddEdge(x, e, m);
+    path.AddEdge(m, e, path.AddNode(a));
+    path.set_x(x);
+  }
+  const PatternFrontier path_reach(fr, path);
+  EXPECT_EQ(path_reach.Reach(4, /*member=*/true), 1u);
+  EXPECT_EQ(path_reach.Reach(2, /*member=*/true), 0u);
+  EXPECT_EQ(path_reach.Reach(0, /*member=*/false), 0u);  // no (·, f, ·) edge
+  // x(a) -f-> b: the inserted 0 -f-> 1 can make a match only at node 0.
+  Pattern fedge;
+  {
+    const PNodeId x = fedge.AddNode(a);
+    fedge.AddEdge(x, f, fedge.AddNode(bl));
+    fedge.set_x(x);
+  }
+  const PatternFrontier f_reach(fr, fedge);
+  EXPECT_EQ(f_reach.Reach(0, /*member=*/false), 1u);
+  EXPECT_EQ(f_reach.Reach(2, /*member=*/false), 0u);
+  EXPECT_EQ(f_reach.Reach(0, /*member=*/true), 0u);  // no f edge deleted
+  // An (a, f, b) edge off x's component can sit anywhere: every center is
+  // reached by the insert.
+  Pattern apart;
+  {
+    const PNodeId x = apart.AddNode(a);
+    apart.AddEdge(apart.AddNode(a), f, apart.AddNode(bl));
+    apart.set_x(x);
+  }
+  EXPECT_EQ(PatternFrontier(fr, apart).Reach(4, /*member=*/false), 1u);
 
   // The empty frontier reads nothing anywhere.
   const DeltaFrontier none;
